@@ -183,7 +183,6 @@ def _cmd_explain_batch(args: argparse.Namespace) -> int:
                                backend=args.backend)
     explanations = explainer.explain_all(workers=args.workers,
                                          transport=args.transport,
-                                         sharded=args.sharded,
                                          chunking=args.chunking)
     if not explanations:
         print("the query has no answers on this database")
@@ -241,7 +240,6 @@ def _run_whyno_batch(args: argparse.Namespace, query, database: Database) -> int
                                         domains=domains, backend=args.backend)
     explanations = explainer.explain_all(workers=args.workers,
                                          transport=args.transport,
-                                         sharded=args.sharded,
                                          chunking=args.chunking)
     if not explanations:
         print("no missing answers to explain "
@@ -439,17 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
                                    "shared-memory segment, or in-process "
                                    "serial (default: auto = fork where "
                                    "available, else shared-memory)")
-    batch_parser.add_argument("--sharded", action="store_true",
-                              help="partition answers by head value and let "
-                                   "each worker run its own shard-restricted "
-                                   "valuation pass instead of inheriting the "
-                                   "parent's finished pass")
-    batch_parser.add_argument("--chunking", default=None,
+    batch_parser.add_argument("--chunking", default="contiguous",
                               choices=("contiguous", "stealing"),
                               help="how the pool assigns targets to workers: "
                                    "fixed contiguous slices or work-stealing "
                                    "over fine-grained chunks (default: "
-                                   "stealing when --sharded, else contiguous)")
+                                   "contiguous)")
     batch_parser.add_argument("--top", type=int, default=None,
                               help="print only the K best causes per answer")
     batch_parser.add_argument("--cache-stats", action="store_true",

@@ -196,25 +196,21 @@ class ExplanationSession:
                     transport: str = "auto",
                     on_chunk: Optional[Callable[
                         [List[Any], Dict[Any, Explanation]], None]] = None,
-                    sharded: bool = False,
-                    chunking: Optional[str] = None
+                    chunking: str = "contiguous"
                     ) -> Dict[Any, Explanation]:
         """Why-So explanations for every answer, via the shared engine.
 
         ``workers``/``transport`` select the parallel fan-out of
         :meth:`repro.engine.BatchExplainer.explain_all`; the workers inherit
         the session engine's completed open-query pass, and their cache
-        entries merge back into it.  ``sharded=True`` instead
-        hash-partitions the answer space and has each worker run its own
-        shard-restricted valuation pass (see there); ``chunking`` picks the
-        pool discipline.  ``on_chunk`` streams ranked explanations back
+        entries merge back into it; ``chunking`` picks the pool discipline
+        (``"contiguous"`` or ``"stealing"``).  ``on_chunk`` streams ranked explanations back
         incrementally as chunks finish (see there) — this is what the
         explanation service's streaming responses ride on.
         """
         return self._whyso_engine().explain_all(answers, workers=workers,
                                                 transport=transport,
                                                 on_chunk=on_chunk,
-                                                sharded=sharded,
                                                 chunking=chunking)
 
     def for_missing_answers(
@@ -224,16 +220,14 @@ class ExplanationSession:
         transport: str = "auto",
         on_chunk: Optional[Callable[
             [List[Any], Dict[Any, Explanation]], None]] = None,
-        sharded: bool = False,
-        chunking: Optional[str] = None,
+        chunking: str = "contiguous",
     ) -> Dict[Any, Explanation]:
         """Why-No explanations for every missing answer the domains allow.
 
         The constructed batch becomes the session's live Why-No engine, so a
         later :meth:`refresh` re-evaluates only the touched non-answers.
-        ``on_chunk`` streams results incrementally, and ``sharded``/
-        ``chunking`` select the shard-parallel pass, as in
-        :meth:`explain_all`.
+        ``on_chunk`` streams results incrementally and ``chunking`` picks the
+        pool discipline, as in :meth:`explain_all`.
         """
         from ..engine.whyno_batch import WhyNoBatchExplainer
 
@@ -241,8 +235,7 @@ class ExplanationSession:
             self.query, self.database, domains=domains,
             max_candidates=max_candidates, backend=self.backend)
         return self._whyno.explain_all(workers=workers, transport=transport,
-                                       on_chunk=on_chunk, sharded=sharded,
-                                       chunking=chunking)
+                                       on_chunk=on_chunk, chunking=chunking)
 
     # -- incremental re-explanation --------------------------------------- #
     def refresh(self, delta) -> Dict[str, Any]:

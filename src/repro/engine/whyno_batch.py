@@ -76,14 +76,13 @@ from ..lineage.whyno import batch_candidate_missing_tuples, build_whyno_instance
 from ..relational.columnar import ConjunctGroup, materialize_conjuncts
 from ..relational.database import Database
 from ..relational.delta import DatabaseDelta
-from ..relational.evaluation import QueryEvaluator, evaluate, \
-    evaluate_boolean, shard_variable
+from ..relational.evaluation import evaluate, evaluate_boolean
 from ..relational.query import ConjunctiveQuery, Variable, match_atom
 from ..relational.session import open_session
-from ..relational.tuples import Tuple, stable_partition, value_sort_key
+from ..relational.tuples import Tuple, value_sort_key
 from ._pool import FanOutResult, FanOutSpec, OnChunk, fan_out, \
     resolve_transport
-from .batch import BatchExplainer, RefreshReport, _SHARD_FACTOR
+from .batch import BatchExplainer, RefreshReport
 
 Answer = TypingTuple[Any, ...]
 
@@ -724,8 +723,7 @@ class WhyNoBatchExplainer:
                     workers: Optional[int] = None,
                     transport: str = "auto",
                     on_chunk: Optional[OnChunk] = None,
-                    sharded: bool = False,
-                    chunking: Optional[str] = None) -> FanOutResult:
+                    chunking: str = "contiguous") -> FanOutResult:
         """Explanations for every non-answer (or the given subset).
 
         ``on_chunk`` streams results incrementally exactly as in
@@ -735,8 +733,8 @@ class WhyNoBatchExplainer:
         the typed error still raised.
 
         ``workers`` > 1 fans the non-answers out over worker processes in
-        contiguous chunks.  The parent finishes the one shared valuation
-        pass over the combined instance first; the workers inherit the
+        chunks.  The parent finishes the one shared valuation pass over
+        the combined instance first; the workers inherit the
         pre-grouped conjuncts, the per-non-answer candidate sets and the
         exogenous set through the chosen ``transport`` (see
         :mod:`repro.engine._pool`) and only restrict + rank — no worker
@@ -746,15 +744,9 @@ class WhyNoBatchExplainer:
         :class:`~repro.engine._pool.FanOutResult` reports the transport and
         effective worker count that actually ran.
 
-        ``sharded=True`` parallelises the combined-instance pass itself,
-        mirroring :meth:`BatchExplainer.explain_all`: the candidate heads
-        are hash-partitioned on the first head variable and each worker
-        runs its own shard-restricted ``valuations_blocks`` pass over the
-        combined snapshot — the parent never evaluates.  Engages only when
-        no shared pass exists yet, the head has a variable and a process
-        transport resolves; identical results either way.  ``chunking``
-        picks the pool discipline, defaulting to ``"stealing"`` under
-        ``sharded=True`` and ``"contiguous"`` otherwise.
+        ``chunking`` picks the pool discipline (``"contiguous"``, the
+        default, or ``"stealing"``).  A target listed twice is explained,
+        streamed and counted once, on every path.
 
         Examples
         --------
@@ -771,22 +763,12 @@ class WhyNoBatchExplainer:
         """
         if self._poisoned is not None:
             raise CausalityError(self._poisoned)
-        if chunking is None:
-            chunking = "stealing" if sharded else "contiguous"
         if non_answers is None:
             targets = list(self.non_answers)
         else:
             # Validate up front so the serial and fan-out paths reject
             # out-of-batch targets identically.
-            targets = [self._key(a) for a in non_answers]
-        if sharded and not self._inner._full_pass_done \
-                and shard_variable(self.query) is not None:
-            pending = [t for t in targets if t not in self._explanations]
-            if resolve_transport(transport, workers, len(pending)) \
-                    != "serial":
-                return self._explain_all_sharded(targets, pending, workers,
-                                                 transport, on_chunk,
-                                                 chunking)
+            targets = list(dict.fromkeys(self._key(a) for a in non_answers))
         requested = 1 if workers is None else workers
         concrete = resolve_transport(transport, workers, len(targets))
         pending = targets
@@ -830,70 +812,6 @@ class WhyNoBatchExplainer:
         # above and merges nothing).
         self.memo_misses += len(pending)
         self._explanations.update(result)
-        return FanOutResult({t: self._explanations[t] for t in targets},
-                            result.transport, requested,
-                            result.effective_workers, result.extras,
-                            result.state_bytes)
-
-    def _explain_all_sharded(self, targets: List[Answer],
-                             pending: List[Answer],
-                             workers: Optional[int], transport: str,
-                             on_chunk: Optional[OnChunk],
-                             chunking: str) -> FanOutResult:
-        """Fan out shard-restricted combined-instance passes.
-
-        Mirrors :meth:`BatchExplainer._explain_all_sharded`: the fan-out
-        targets are shard indices, each worker runs ``valuations_blocks``
-        restricted to its shard of the combined snapshot and explains the
-        pending candidate heads assigned there.  Every target was validated
-        against the batch up front, so unlike the Why-So twin there is no
-        not-an-answer marker — an empty shard group is simply a non-answer
-        with no witnessing valuations, exactly as on the serial path.
-        """
-        requested = 1 if workers is None else workers
-        n_shards = max(1, requested) * _SHARD_FACTOR
-        position = next(i for i, term in enumerate(self.query.head)
-                        if isinstance(term, Variable))
-        served = [t for t in targets if t not in pending]
-        if served:
-            self.memo_hits += len(served)
-            if on_chunk is not None:
-                on_chunk(served, {t: self._explanations[t] for t in served})
-        shard_targets: Dict[int, List[Answer]] = {}
-        for target in dict.fromkeys(pending):
-            shard = stable_partition(target[position], n_shards)
-            shard_targets.setdefault(shard, []).append(target)
-        for bucket in shard_targets.values():
-            bucket.sort(key=value_sort_key)
-        shard_indices = sorted(shard_targets)
-
-        relay: Optional[OnChunk] = None
-        if on_chunk is not None:
-            def relay(chunk_shards: List[Any],
-                      chunk_results: Dict[Any, Any]) -> None:
-                # Unwrap the per-shard dicts into the per-answer stream.
-                for shard in chunk_shards:
-                    delivered = dict(chunk_results[shard])
-                    if delivered:
-                        on_chunk(sorted(delivered, key=value_sort_key),
-                                 delivered)
-
-        state = _ShardedWhyNoState(
-            self.query, self._inner.session.fanout_snapshot(),
-            frozenset(self._inner._exogenous), n_shards, shard_targets,
-            {t: self._per_answer_candidates[t] for t in pending})
-        try:
-            result = fan_out(shard_indices, state, _SHARDED_WHYNO_SPEC,
-                             workers=workers, transport=transport,
-                             on_chunk=relay, chunking=chunking)
-        except FanOutWorkerError as error:
-            error.requested = tuple(targets)
-            raise
-        flat: Dict[Answer, Explanation] = {}
-        for shard in shard_indices:
-            flat.update(result[shard])
-        self.memo_misses += len(flat)
-        self._explanations.update(flat)
         return FanOutResult({t: self._explanations[t] for t in targets},
                             result.transport, requested,
                             result.effective_workers, result.extras,
@@ -946,62 +864,6 @@ def _whyno_worker_explain(state: _WhyNoFanOutState, key: Answer) -> Explanation:
 
 
 _WHYNO_SPEC = FanOutSpec(compute=_whyno_worker_explain)
-
-
-class _ShardedWhyNoState:
-    """What a sharded Why-No worker starts from: *no* finished pass.
-
-    Carries the combined-instance snapshot (``Dx ∪ Dn`` with every real
-    tuple exogenous and every candidate endogenous), the partition
-    geometry, the pending targets per shard and their candidate sets.  The
-    worker derives its own shard-restricted valuation groups — the parent
-    never runs the combined pass.
-    """
-
-    __slots__ = ("query", "database", "exogenous", "n_shards",
-                 "shard_targets", "per_answer_candidates")
-
-    def __init__(self, query: ConjunctiveQuery, database: Database,
-                 exogenous: FrozenSet[Tuple], n_shards: int,
-                 shard_targets: Dict[int, List[Answer]],
-                 per_answer_candidates: Dict[Answer, FrozenSet[Tuple]]
-                 ) -> None:
-        self.query = query
-        self.database = database
-        self.exogenous = exogenous
-        self.n_shards = n_shards
-        self.shard_targets = shard_targets
-        self.per_answer_candidates = per_answer_candidates
-
-
-def _sharded_whyno_setup(state: _ShardedWhyNoState) -> Any:
-    # One evaluator per worker, shared across its claimed shards so the
-    # relation indexes and shard buckets amortise (same construction as
-    # MemorySession: respect_annotations=True).
-    return (QueryEvaluator(state.database), state)
-
-
-def _sharded_whyno_explain(context: Any, shard: int
-                           ) -> Dict[Answer, Explanation]:
-    """Shard-restricted pass over the combined snapshot, then restrict+rank."""
-    evaluator, state = context
-    blocks = evaluator.valuations_blocks(state.query,
-                                         shard=(shard, state.n_shards))
-    results: Dict[Answer, Explanation] = {}
-    for key in state.shard_targets[shard]:
-        phi_n = _restricted_n_lineage(
-            materialize_conjuncts(blocks.get(key, [])),
-            state.per_answer_candidates[key],
-            state.exogenous)
-        causes = whyno_causes_from_n_lineage(phi_n)
-        results[key] = Explanation(state.query,
-                                   None if state.query.is_boolean else key,
-                                   CausalityMode.WHY_NO, causes)
-    return results
-
-
-_SHARDED_WHYNO_SPEC = FanOutSpec(compute=_sharded_whyno_explain,
-                                 setup=_sharded_whyno_setup)
 
 
 def batch_explain_whyno(query: ConjunctiveQuery, database: Database,

@@ -155,10 +155,10 @@ def sharded_fanout_instance(n_answers: int, witnesses_per_answer: int,
     """A wide instance for ``q(x) :- R(x, y), S(y, z)`` with per-answer lineage.
 
     Each answer ``x{i}`` gets its *own* join values ``y{i}_{j}``, so lineages
-    are disjoint across answers and the instance shards cleanly by head value:
-    a worker owning ``x{i}`` never needs another answer's rows.  This is the
-    scale shape for the sharded fan-out benchmarks — many answers, each with a
-    non-trivial witness set.
+    are disjoint across answers and explaining ``x{i}`` never touches another
+    answer's rows.  This is the scale shape for the fan-out benchmarks and
+    the parallel equivalence tests — many answers, each with a non-trivial
+    witness set.
 
     ``skew_factor`` > 1 inflates the *first* answer's witness count by that
     factor (the other answers keep ``witnesses_per_answer``), modelling the

@@ -231,8 +231,10 @@ class TestEngineFailures:
     def test_non_answer_target_rejected_identically(self, workers):
         """Serial and fan-out validate targets with the same error."""
         explainer = BatchExplainer(QUERY, example_db())
-        with pytest.raises(CausalityError, match="not an answer"):
+        with pytest.raises(CausalityError, match="not an answer") as error:
             explainer.explain_all(answers=[("a2",), ("zz",)], workers=workers)
+        assert str(error.value) == \
+            "('zz',) is not an answer on this database; use mode='why-no'"
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
     @pytest.mark.parametrize("compute", [_explode_on_marked_answer,

@@ -117,6 +117,23 @@ class TestWhySoEquivalence:
             assert ranking(parallel_explainer.explain(key)) == \
                 ranking(serial_explainer.explain(key))
 
+        # An explicit subset, out of order and with repeats: both paths keep
+        # the requested order and explain and count each target once.
+        keys = list(serial)
+        requested = keys[::-1] + keys[:1] + keys[-1:]
+        serial_explainer = BatchExplainer(QUERY, db, method="exact")
+        parallel_explainer = BatchExplainer(QUERY, db, method="exact")
+        subset = serial_explainer.explain_all(requested)
+        pooled = parallel_explainer.explain_all(requested, workers=2,
+                                                transport=transport)
+        assert list(subset) == keys[::-1]
+        assert_same_explanations(pooled, subset, (transport, "subset"))
+        assert pooled.transport == transport
+        assert (parallel_explainer.memo_hits,
+                parallel_explainer.memo_misses) == \
+            (serial_explainer.memo_hits, serial_explainer.memo_misses) == \
+            (0, len(keys))
+
     def test_suite_workers_dimension(self, suite_workers):
         """The CI dimension: the whole contract at REPRO_TEST_WORKERS."""
         rng = random.Random(3)
@@ -166,6 +183,21 @@ class TestWhyNoEquivalence:
         # Memoized like serial: the next explain() serves the merged result.
         for key in targets:
             assert ranking(explainer.explain(key)) == ranking(serial[key])
+
+        # Repeated targets are explained and counted once on both paths.
+        requested = targets[::-1] + targets[:1]
+        serial_explainer = WhyNoBatchExplainer(QUERY, db, non_answers=targets,
+                                               backend=backend)
+        explainer = WhyNoBatchExplainer(QUERY, db, non_answers=targets,
+                                        backend=backend)
+        subset = serial_explainer.explain_all(requested)
+        pooled = explainer.explain_all(requested, workers=2,
+                                       transport=transport)
+        assert list(subset) == targets[::-1]
+        assert_same_explanations(pooled, subset, (backend, transport))
+        assert (explainer.memo_hits, explainer.memo_misses) == \
+            (serial_explainer.memo_hits, serial_explainer.memo_misses) == \
+            (0, len(targets))
 
     def test_self_join_candidate_restriction_survives_fanout(self):
         """Self-joined queries exercise the per-target candidate filter.
@@ -268,19 +300,18 @@ class TestReporting:
         assert result.effective_workers == 1
 
 
-class TestShardedEquivalence:
-    """``sharded=True``: workers run their own shard-restricted passes.
+class TestStealingEquivalence:
+    """``chunking="stealing"``: workers claim fine chunks from a shared index.
 
-    Instead of inheriting the parent's finished pass, each worker
-    re-derives the valuation blocks for its hash partition of head
-    values.  The union of disjoint shard passes must be bit-identical to
-    the one serial pass — causes, rankings, key order, memos and merged
-    cache contents alike.
+    The parent still finishes the valuation pass and the workers inherit
+    it; only the order in which targets reach the workers changes.  However
+    the claims land, the merged result must be bit-identical to the serial
+    path — causes, rankings, key order, memos and merged cache contents.
     """
 
     @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_whyso_sharded_matches_serial(self, backend, transport):
+    def test_whyso_stealing_matches_serial(self, backend, transport):
         rng = random.Random(31)
         db = random_instance(rng)
         serial = BatchExplainer(QUERY, db, backend=backend).explain_all()
@@ -288,7 +319,7 @@ class TestShardedEquivalence:
             pytest.skip("random instance too small to fan out")
         explainer = BatchExplainer(QUERY, db, backend=backend)
         pooled = explainer.explain_all(workers=2, transport=transport,
-                                       sharded=True)
+                                       chunking="stealing")
         assert_same_explanations(pooled, serial, (backend, transport))
         assert pooled.transport == transport
         # The merged memos keep serving exactly what serial computed.
@@ -297,7 +328,7 @@ class TestShardedEquivalence:
 
     @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_whyno_sharded_matches_serial(self, backend, transport):
+    def test_whyno_stealing_matches_serial(self, backend, transport):
         rng = random.Random(47)
         db = random_instance(rng)
         actual = evaluate(QUERY, db)
@@ -308,25 +339,25 @@ class TestShardedEquivalence:
         explainer = WhyNoBatchExplainer(QUERY, db, non_answers=targets,
                                         backend=backend)
         pooled = explainer.explain_all(workers=2, transport=transport,
-                                       sharded=True)
+                                       chunking="stealing")
         assert_same_explanations(pooled, serial, (backend, transport))
         assert pooled.transport == transport
         for key in targets:
             assert ranking(explainer.explain(key)) == ranking(serial[key])
 
     @pytest.mark.parametrize("workers", (2, 3))
-    def test_whyso_sharded_worker_counts(self, workers):
+    def test_whyso_stealing_worker_counts(self, workers):
         rng = random.Random(53)
         db = random_instance(rng)
         serial = BatchExplainer(QUERY, db).explain_all()
         if len(serial) < 2:
             pytest.skip("random instance too small to fan out")
         pooled = BatchExplainer(QUERY, db).explain_all(workers=workers,
-                                                       sharded=True)
+                                                       chunking="stealing")
         assert_same_explanations(pooled, serial, workers)
 
-    def test_sharded_explicit_subset_and_validation(self):
-        """Explicit targets shard too, and bad targets raise like serial."""
+    def test_stealing_explicit_subset_and_validation(self):
+        """Explicit targets are claimed too, and bad targets raise like serial."""
         rng = random.Random(61)
         db = random_instance(rng)
         serial_explainer = BatchExplainer(QUERY, db)
@@ -336,20 +367,20 @@ class TestShardedEquivalence:
         subset = sorted(serial)[:3]
         explainer = BatchExplainer(QUERY, db)
         pooled = explainer.explain_all(answers=subset, workers=2,
-                                       sharded=True)
+                                       chunking="stealing")
         assert list(pooled) == subset
         for key in subset:
             assert ranking(pooled[key]) == ranking(serial[key])
-        with pytest.raises(CausalityError) as sharded_err:
+        with pytest.raises(CausalityError) as stealing_err:
             BatchExplainer(QUERY, db).explain_all(
-                answers=[("nope",)], workers=2, sharded=True,
+                answers=[("nope",)], workers=2, chunking="stealing",
                 transport=PROCESS_TRANSPORTS[0])
         with pytest.raises(CausalityError) as serial_err:
             BatchExplainer(QUERY, db).explain_all(answers=[("nope",)])
-        assert str(sharded_err.value) == str(serial_err.value)
+        assert str(stealing_err.value) == str(serial_err.value)
 
-    def test_sharded_cache_merge_equals_serial(self):
-        """``method="exact"`` fills the cache; shard merges match serial."""
+    def test_stealing_cache_merge_equals_serial(self):
+        """``method="exact"`` fills the cache; stolen-chunk merges match serial."""
         rng = random.Random(11)
         db = random_instance(rng)
         serial_explainer = BatchExplainer(QUERY, db, method="exact")
@@ -357,8 +388,8 @@ class TestShardedEquivalence:
         if len(serial) < 2:
             pytest.skip("random instance too small to fan out")
         explainer = BatchExplainer(QUERY, db, method="exact")
-        pooled = explainer.explain_all(workers=2, sharded=True)
-        assert_same_explanations(pooled, serial, "sharded cache")
+        pooled = explainer.explain_all(workers=2, chunking="stealing")
+        assert_same_explanations(pooled, serial, "stealing cache")
         assert dict(explainer.cache.export_entries()) == \
             dict(serial_explainer.cache.export_entries())
 
@@ -384,19 +415,20 @@ class TestPathologicalSkew:
         assert len(heavy.causes) >= 50 * len(light.causes)
         for workers in (2, 3, 7):
             explainer = BatchExplainer(self.SKEW_QUERY, db)
-            pooled = explainer.explain_all(workers=workers, sharded=True,
+            pooled = explainer.explain_all(workers=workers,
                                            chunking="stealing")
             assert_same_explanations(pooled, serial, workers)
             assert list(pooled) == list(serial)  # no ordering leak
 
-    def test_skewed_inherit_path_with_stealing(self):
-        """Stealing also applies to the inherit-the-pass fan-out."""
+    def test_skewed_lineage_with_contiguous_chunks(self):
+        """Contiguous chunks leave the heavy answer on one worker; same output."""
         db = sharded_fanout_instance(n_answers=8, witnesses_per_answer=2,
                                      seed=7, skew_factor=100)
         serial = BatchExplainer(self.SKEW_QUERY, db).explain_all()
-        pooled = BatchExplainer(self.SKEW_QUERY, db).explain_all(
-            workers=3, chunking="stealing")
-        assert_same_explanations(pooled, serial, "inherit+stealing")
+        for workers in (2, 3):
+            pooled = BatchExplainer(self.SKEW_QUERY, db).explain_all(
+                workers=workers, chunking="contiguous")
+            assert_same_explanations(pooled, serial, workers)
 
 
 @pytest.mark.slow
