@@ -361,6 +361,14 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer (got {value})")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -425,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "such deltas, applied in order as one "
                                    "stream — and incrementally re-explain "
                                    "only what it touches")
-    batch_parser.add_argument("--workers", type=int, default=None,
+    batch_parser.add_argument("--workers", type=_positive_int, default=None,
                               help="fan answers out over N worker processes "
                                    "(the workers inherit the parent's "
                                    "evaluation pass)")
@@ -439,10 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "available, else shared-memory)")
     batch_parser.add_argument("--chunking", default="contiguous",
                               choices=("contiguous", "stealing"),
-                              help="how the pool assigns targets to workers: "
-                                   "fixed contiguous slices or work-stealing "
-                                   "over fine-grained chunks (default: "
-                                   "contiguous)")
+                              help="how many chunks the workers claim: one "
+                                   "contiguous chunk per worker, or 4 "
+                                   "fine-grained chunks per worker to absorb "
+                                   "skew (default: contiguous)")
     batch_parser.add_argument("--top", type=int, default=None,
                               help="print only the K best causes per answer")
     batch_parser.add_argument("--cache-stats", action="store_true",
@@ -489,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=("memory", "sqlite"),
                               help="execution backend for the resident "
                                    "sessions (default: memory)")
-    serve_parser.add_argument("--workers", type=int, default=None,
+    serve_parser.add_argument("--workers", type=_positive_int, default=None,
                               help="fan batch requests out over N worker "
                                    "processes per session")
     serve_parser.add_argument("--transport", default="auto",

@@ -203,7 +203,7 @@ class ExplanationSession:
         ``workers``/``transport`` select the parallel fan-out of
         :meth:`repro.engine.BatchExplainer.explain_all`; the workers inherit
         the session engine's completed open-query pass, and their cache
-        entries merge back into it; ``chunking`` picks the pool discipline
+        entries merge back into it; ``chunking`` sets the chunk count
         (``"contiguous"`` or ``"stealing"``).  ``on_chunk`` streams ranked explanations back
         incrementally as chunks finish (see there) — this is what the
         explanation service's streaming responses ride on.
@@ -226,8 +226,8 @@ class ExplanationSession:
 
         The constructed batch becomes the session's live Why-No engine, so a
         later :meth:`refresh` re-evaluates only the touched non-answers.
-        ``on_chunk`` streams results incrementally and ``chunking`` picks the
-        pool discipline, as in :meth:`explain_all`.
+        ``on_chunk`` streams results incrementally and ``chunking`` sets the
+        chunk count, as in :meth:`explain_all`.
         """
         from ..engine.whyno_batch import WhyNoBatchExplainer
 

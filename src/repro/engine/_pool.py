@@ -18,7 +18,7 @@ The seam has three pieces:
 * a **transport** — how the shared state reaches the worker processes:
 
   =================  ========================================================
-  ``serial``         no processes; chunks run in the parent (also the
+  ``serial``         no processes; one chunk runs in the parent (also the
                      automatic fallback for one worker or one target)
   ``fork``           POSIX: workers are forked *after* the shared state is
                      staged, so they inherit it copy-on-write — nothing is
@@ -38,42 +38,45 @@ The seam has three pieces:
   workers; the result makes the actual count visible so benchmarks and
   tests can assert on it).
 
-On top of the transport, callers pick a **chunking** discipline:
+On top of the transport, callers pick a **chunking**.  It only sets how many
+chunks the targets split into; every transport runs them through the same
+claim loop:
 
 =================  =========================================================
-``contiguous``     the default: targets split into exactly one balanced
-                   chunk per worker, assigned up front.  Lowest overhead,
-                   but a skewed target (one answer with 100× the lineage)
-                   serialises its whole chunk behind it.
-``stealing``       work-stealing: targets split into fine-grained chunks
-                   (several per worker) and published behind a shared
-                   claim index — a :mod:`multiprocessing` counter shipped
-                   through the pool initializer.  Workers loop: lock,
-                   read-and-increment the index, run the claimed chunk.
-                   Fast workers drain what slow ones never reach, so the
-                   makespan tracks total work, not the worst chunk.  A
-                   worker that claims nothing never runs ``setup`` (and
-                   skips ``finalize``).
+``contiguous``     the default: one balanced chunk per worker.  Fewest
+                   claims, but a skewed target (one answer with 100× the
+                   lineage) serialises its whole chunk behind it.
+``stealing``       ``_STEAL_CHUNK_FACTOR`` chunks per worker (at most one
+                   target each), so fast workers drain what slow ones never
+                   reach and the makespan tracks total work, not the worst
+                   chunk.
 =================  =========================================================
+
+The chunks sit behind a shared claim index — a :mod:`multiprocessing`
+counter shipped through the pool initializer.  Each worker loops: lock,
+read-and-increment the index, run the claimed chunk, until the index runs
+off the end.  ``setup`` runs on a worker's first claim, so a worker that
+claims nothing never runs ``setup`` (and skips ``finalize``).  The serial
+transport runs the same loop in the parent, over one chunk.
 
 Either chunking yields the *same* :class:`FanOutResult`: results are
 re-keyed in serial target order and per-worker ``finalize`` extras are
-collected in submission order, so outputs stay independent of which worker
-claimed what.
+collected in worker submission order, so outputs stay independent of which
+worker claimed what.
 
 Failures are typed, never hung and never half-merged: a worker that raises
 surfaces as a :class:`~repro.exceptions.FanOutWorkerError` naming the
 offending target; a worker *process* that dies surfaces the same error
-naming the chunks it left unfinished.  A failing chunk aborts its own
-remaining targets immediately; sibling chunks run to completion (every
-chunk starts at once — there is no queue to cancel), so the wait is bounded
-by the slowest chunk.  On any failure no result (and no ``finalize`` extra)
-is handed to the caller, so the parent's caches stay exactly as they were.
+naming the chunks no worker finished.  A failing chunk aborts its own
+remaining targets immediately and its worker stops claiming; the sibling
+workers drain the remaining chunks, so the wait is bounded by the remaining
+work.  On any failure no result (and no ``finalize`` extra) is handed to the
+caller, so the parent's caches stay exactly as they were.
 
 **Streaming**: ``fan_out(..., on_chunk=...)`` reports each *successful*
-chunk the moment its worker finishes — ``on_chunk(chunk_targets,
-chunk_results)`` runs in the parent, in completion order — instead of
-making the consumer wait for the full merged dict.  The failure contract
+chunk as soon as the worker that ran it returns — ``on_chunk(chunk_targets,
+chunk_results)`` runs in the parent, in worker completion order — instead
+of making the consumer wait for the full merged dict.  The failure contract
 extends to the stream: a failed chunk is **never** delivered through
 ``on_chunk`` (no partial chunks, no silently shorter stream) and the run
 still raises its typed :class:`~repro.exceptions.FanOutWorkerError`, so a
@@ -95,7 +98,7 @@ semantics for the parallel ones:
 ('serial', 1, 1)
 
 ``setup`` runs once per worker, ``finalize`` once per worker after its
-chunk; the extras are collected on the result:
+last chunk; the extras are collected on the result:
 
 >>> spec = FanOutSpec(setup=lambda state: {"base": state, "seen": []},
 ...                   compute=lambda ctx, t: ctx["seen"].append(t) or ctx["base"] + t,
@@ -108,6 +111,7 @@ chunk; the extras are collected on the result:
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import multiprocessing
 import pickle
 import traceback
@@ -180,14 +184,16 @@ class FanOutResult(Dict[Any, Any]):
     requested_workers:
         The worker count the caller asked for (1 when unspecified).
     effective_workers:
-        The number of worker processes that actually ran — one per
-        contiguous chunk, i.e. ``min(requested_workers, len(targets))``
-        (see :func:`effective_pool_size`: chunks are balanced, so a
-        request is only ever shrunk when there are fewer targets than
-        workers).  The serial transport always reports 1.
+        The pool size: the number of worker processes that ran the claim
+        loop, ``min(requested_workers, len(targets))`` (see
+        :func:`effective_pool_size`; a request is only ever shrunk when
+        there are fewer targets than workers).  Under either chunking a
+        worker may claim several chunks, or none.  The serial transport
+        always reports 1.
     extras:
-        The per-worker ``finalize`` returns, in chunk order (empty when the
-        spec has no ``finalize``).
+        The per-worker ``finalize`` returns, in worker submission order
+        (empty when the spec has no ``finalize``; a worker that claimed no
+        chunk contributes none).
     state_bytes:
         Pickled size of the staged ``(spec, shared_state)`` pair, reported
         on **every** transport so ``--cache-stats`` lines stay comparable:
@@ -220,6 +226,9 @@ def resolve_transport(transport: str, workers: Optional[int],
                       n_targets: int) -> str:
     """The concrete transport a request resolves to.
 
+    Every batch fan-out resolves its transport here, so this is also where
+    a worker count below 1 is rejected.
+
     Examples
     --------
     >>> resolve_transport("auto", None, 10)
@@ -231,11 +240,18 @@ def resolve_transport(transport: str, workers: Optional[int],
         else "shared-memory"
     >>> resolve_transport("auto", 4, 10) == expected
     True
+    >>> resolve_transport("auto", 0, 10)
+    Traceback (most recent call last):
+    ...
+    repro.exceptions.FanOutError: workers must be a positive integer (got 0)
     """
     if transport not in TRANSPORTS:
         raise FanOutError(
             f"unknown transport {transport!r} (choose from {TRANSPORTS})"
         )
+    if workers is not None and workers < 1:
+        raise FanOutError(
+            f"workers must be a positive integer (got {workers!r})")
     if transport == "serial" or workers is None or workers <= 1 \
             or n_targets <= 1:
         return "serial"
@@ -252,11 +268,11 @@ def resolve_transport(transport: str, workers: Optional[int],
 
 
 def effective_pool_size(n_targets: int, workers: int) -> int:
-    """Workers that actually run for a request: one per contiguous chunk.
+    """The pool size for a request: the worker processes that actually run.
 
     Chunks are balanced (floor size plus one extra target for the first
-    ``n_targets % pool`` chunks), so whenever there are at least as many
-    targets as workers, every requested worker gets a chunk:
+    ``n_targets % n_chunks`` chunks), so whenever there are at least as
+    many targets as workers, every requested worker has a chunk to claim:
     ``effective == min(workers, n_targets)``.  The earlier ceil-division
     chunking silently wasted parallelism — 5 targets at 4 workers produced
     chunks of 2 and ran only 3 workers.  This is the number
@@ -278,67 +294,117 @@ def effective_pool_size(n_targets: int, workers: int) -> int:
     return min(workers, n_targets)
 
 
-def _chunked(targets: Sequence[Any], pool_size: int) -> List[List[Any]]:
-    """Balanced contiguous chunks, exactly ``pool_size`` of them.
+def _chunk_targets(targets: Sequence[Any], pool_size: int,
+                   chunking: str) -> List[List[Any]]:
+    """The balanced contiguous chunks a pool of ``pool_size`` workers claims.
 
-    The first ``len(targets) % pool_size`` chunks carry one extra target
-    (floor + remainder split), so chunk sizes differ by at most one and no
-    requested worker is left without a chunk.  One worker-side context per
-    chunk preserves intra-chunk sharing, and the merged result is re-keyed
-    in the serial target order, so the output is independent of the worker
-    count.
+    ``contiguous`` gives one chunk per worker; ``stealing`` gives
+    ``_STEAL_CHUNK_FACTOR`` per worker, capped at one target per chunk.  The
+    first ``len(targets) % n_chunks`` chunks carry one extra target (floor +
+    remainder split), so chunk sizes differ by at most one and no worker is
+    left without a chunk.  The merged result is re-keyed in the serial
+    target order, so the output is independent of the chunking.
 
-    >>> _chunked(list(range(5)), 4)
+    >>> _chunk_targets(list(range(5)), 4, "contiguous")
     [[0, 1], [2], [3], [4]]
-    >>> _chunked(list(range(8)), 4)
-    [[0, 1], [2, 3], [4, 5], [6, 7]]
+    >>> _chunk_targets(list(range(5)), 2, "contiguous")
+    [[0, 1, 2], [3, 4]]
+    >>> _chunk_targets(list(range(5)), 2, "stealing")
+    [[0], [1], [2], [3], [4]]
     """
-    base, extra = divmod(len(targets), pool_size)
+    n_chunks = pool_size if chunking == "contiguous" \
+        else min(len(targets), pool_size * _STEAL_CHUNK_FACTOR)
+    base, extra = divmod(len(targets), n_chunks)
     chunks: List[List[Any]] = []
     start = 0
-    for i in range(pool_size):
+    for i in range(n_chunks):
         size = base + (1 if i < extra else 0)
         chunks.append(list(targets[start:start + size]))
         start += size
     return chunks
 
 
-def _run_chunk(spec: FanOutSpec, state: Any, chunk: List[Any]) -> Dict[str, Any]:
-    """Run one chunk; never raises — failures are returned as data.
+def _run_chunks(spec: FanOutSpec, state: Any, chunks: List[List[Any]],
+                claim: Callable[[], int]) -> Dict[str, Any]:
+    """One worker's claim-run loop; never raises — failures return as data.
 
-    The per-target try/except is what lets the parent name the *offending
-    target* of a failed worker instead of just the chunk.
+    The worker repeatedly calls ``claim()`` for the index of the next
+    unclaimed chunk and runs it, until the index runs off the end.
+    ``setup`` runs on the first claimed chunk only, so a worker its
+    siblings starve out pays nothing and produces no extra.  The per-target
+    try/except is what lets the parent name the *offending target*: on a
+    failure the worker stops claiming and returns early, the siblings drain
+    the remaining chunks, and the parent raises.  A ``finalize`` failure
+    voids the worker's entire contribution (its per-chunk results cannot be
+    merged without the extra they were computed alongside), reported
+    against every target it ran.
     """
+    outcomes: List[TypingTuple[int, Dict[str, Any]]] = []
+    index = claim()
+    if index >= len(chunks):
+        return {"outcomes": outcomes, "extra": None}
+    first = index
     try:
         context = state if spec.setup is None else spec.setup(state)
+    except Exception as error:
+        return {"outcomes": [(index, _failure(tuple(chunks[index]), error))]}
+    ran: List[Any] = []
+    while index < len(chunks):
         results: Dict[Any, Any] = {}
-        for target in chunk:
+        for target in chunks[index]:
             try:
                 results[target] = spec.compute(context, target)
             except Exception as error:
-                return {"failed": (target,),
-                        "detail": f"{type(error).__name__}: {error}\n"
-                                  + traceback.format_exc()}
-        extra = None if spec.finalize is None else spec.finalize(context)
-    except Exception as error:
-        # setup/finalize failures cannot be pinned on one target.
-        return {"failed": tuple(chunk),
-                "detail": f"{type(error).__name__}: {error}\n"
-                          + traceback.format_exc()}
-    return {"results": results, "extra": extra}
+                outcomes.append((index, _failure((target,), error)))
+                return {"outcomes": outcomes}
+        ran.extend(chunks[index])
+        outcomes.append((index, {"results": results}))
+        index = claim()
+    extra = None
+    if spec.finalize is not None:
+        try:
+            extra = spec.finalize(context)
+        except Exception as error:
+            return {"outcomes": [(first, _failure(tuple(ran), error))]}
+    return {"outcomes": outcomes, "extra": extra}
+
+
+def _failure(targets: TypingTuple[Any, ...],
+             error: Exception) -> Dict[str, Any]:
+    return {"failed": targets,
+            "detail": f"{type(error).__name__}: {error}\n"
+                      + traceback.format_exc()}
 
 
 # --------------------------------------------------------------------------- #
-# transport plumbing (module-level so the workers pickle by reference)
+# worker processes (module-level so they pickle by reference)
 # --------------------------------------------------------------------------- #
+# The shared claim index: a multiprocessing.Value handed to every worker via
+# the pool initializer (the only channel that reaches both fork and spawn
+# workers — synchronized primitives refuse to travel through submit args).
+_CLAIM: Any = None
+
+
+def _claim_init(claim: Any) -> None:
+    global _CLAIM
+    _CLAIM = claim
+
+
+def _claim_shared() -> int:
+    with _CLAIM.get_lock():
+        index: int = _CLAIM.value
+        _CLAIM.value = index + 1
+    return index
+
+
 # fork: the parent stages (spec, state) here *before* the pool forks, so the
-# children inherit it copy-on-write and the payload is just the chunk.
+# children inherit it copy-on-write and the payload is just the chunk list.
 _FORK_SHARED: Any = None
 
 
-def _fork_chunk(chunk: List[Any]) -> Dict[str, Any]:
+def _fork_worker(chunks: List[List[Any]]) -> Dict[str, Any]:
     spec, state = _FORK_SHARED
-    return _run_chunk(spec, state, chunk)
+    return _run_chunks(spec, state, chunks, _claim_shared)
 
 
 # shared-memory: (spec, state) is pickled once into a segment; each spawned
@@ -372,10 +438,11 @@ def _attach_segment(name: str) -> Any:
             resource_tracker.register = original
 
 
-def _shm_chunk(payload: TypingTuple[str, int, List[Any]]) -> Dict[str, Any]:
-    name, size, chunk = payload
+def _shm_worker(payload: TypingTuple[str, int, List[List[Any]]]
+                ) -> Dict[str, Any]:
+    name, size, chunks = payload
     spec, state = _shm_shared(name, size)
-    return _run_chunk(spec, state, chunk)
+    return _run_chunks(spec, state, chunks, _claim_shared)
 
 
 def _shm_shared(name: str, size: int) -> Any:
@@ -391,172 +458,30 @@ def _shm_shared(name: str, size: int) -> Any:
     return shared
 
 
-# --------------------------------------------------------------------------- #
-# work-stealing chunking
-# --------------------------------------------------------------------------- #
-# The shared claim index: a multiprocessing.Value handed to every worker via
-# the pool initializer (the only channel that reaches both fork and spawn
-# workers — synchronized primitives refuse to travel through submit args).
-_STEAL_CLAIM: Any = None
-
-
-def _steal_init(claim: Any) -> None:
-    global _STEAL_CLAIM
-    _STEAL_CLAIM = claim
-
-
-def _fork_steal_worker(chunks: List[List[Any]]) -> Dict[str, Any]:
-    spec, state = _FORK_SHARED
-    return _steal_loop(spec, state, chunks)
-
-
-def _shm_steal_worker(payload: TypingTuple[str, int, List[List[Any]]]
-                      ) -> Dict[str, Any]:
-    name, size, chunks = payload
-    spec, state = _shm_shared(name, size)
-    return _steal_loop(spec, state, chunks)
-
-
-def _steal_loop(spec: FanOutSpec, state: Any,
-                chunks: List[List[Any]]) -> Dict[str, Any]:
-    """One worker's claim-run loop; never raises — failures return as data.
-
-    The worker repeatedly claims the next unclaimed chunk off the shared
-    index and runs it.  ``setup`` is lazy (first claimed chunk only), so a
-    worker the siblings starve out pays nothing and produces no extra.  On
-    a per-target failure the worker stops claiming and returns early —
-    siblings drain the remaining chunks, and the parent raises with the
-    offending target.  A ``finalize`` failure voids the worker's entire
-    contribution (its per-chunk results cannot be merged without the extra
-    they were computed alongside), reported against every target it ran.
-    """
-    outcomes: List[TypingTuple[int, Dict[str, Any]]] = []
-    context: Any = None
-    started = False
-    claimed: List[Any] = []
-    first_index = len(chunks)
-    while True:
-        with _STEAL_CLAIM.get_lock():
-            index = _STEAL_CLAIM.value
-            if index >= len(chunks):
-                break
-            _STEAL_CLAIM.value = index + 1
-        chunk = chunks[index]
-        first_index = min(first_index, index)
-        if not started:
-            started = True
-            try:
-                context = state if spec.setup is None else spec.setup(state)
-            except Exception as error:
-                outcomes.append((index, _failure(tuple(chunk), error)))
-                return {"outcomes": outcomes}
-        results: Dict[Any, Any] = {}
-        for target in chunk:
-            try:
-                results[target] = spec.compute(context, target)
-            except Exception as error:
-                outcomes.append((index, _failure((target,), error)))
-                return {"outcomes": outcomes}
-        claimed.extend(chunk)
-        outcomes.append((index, {"results": results, "extra": None}))
-    extra = None
-    if started and spec.finalize is not None:
-        try:
-            extra = spec.finalize(context)
-        except Exception as error:
-            return {"outcomes": [(first_index, _failure(tuple(claimed),
-                                                        error))]}
-    return {"outcomes": outcomes, "extra": extra}
-
-
-def _failure(targets: TypingTuple[Any, ...],
-             error: Exception) -> Dict[str, Any]:
-    return {"failed": targets,
-            "detail": f"{type(error).__name__}: {error}\n"
-                      + traceback.format_exc()}
-
-
 def _collect(
-    futures_to_chunks: Sequence[TypingTuple[Any, List[Any]]],
-    transport: str,
-    on_chunk: Optional[OnChunk] = None,
-) -> List[Dict[str, Any]]:
-    """Gather chunk outcomes; raise typed errors, merge nothing on failure.
-
-    Every future is drained before deciding what to raise: a dead worker
-    process breaks the *whole* pool, failing innocent pending futures too,
-    so a per-target failure report from any worker (precise attribution)
-    wins over the broken-pool signal, and the broken-pool error names the
-    union of the chunks that never completed — the dead worker's chunk is
-    always among them.
-
-    With ``on_chunk``, futures are consumed in *completion* order and each
-    successful chunk is reported the moment it lands; failed chunks are
-    never reported, and the outcomes list (hence ``extras``) stays in chunk
-    submission order either way.
-    """
-    pending = {future: (index, chunk) for index, (future, chunk)
-               in enumerate(futures_to_chunks)}
-    slots: List[Optional[Dict[str, Any]]] = [None] * len(pending)
-    broken_chunks: List[TypingTuple[int, List[Any]]] = []
-    broken_error: Optional[BaseException] = None
-    for future in concurrent.futures.as_completed(pending):
-        index, chunk = pending[future]
-        try:
-            outcome = future.result()
-        except BrokenProcessPool as error:
-            broken_chunks.append((index, chunk))
-            broken_error = error
-            continue
-        slots[index] = outcome
-        if on_chunk is not None and "failed" not in outcome:
-            on_chunk(list(chunk), dict(outcome["results"]))
-    outcomes = [outcome for outcome in slots if outcome is not None]
-    # Submission order, so the error message is worker-timing-independent.
-    broken = [target for _, chunk in sorted(broken_chunks)
-              for target in chunk]
-    for outcome in outcomes:
-        if "failed" in outcome:
-            failed = outcome["failed"]
-            raise FanOutWorkerError(
-                f"a fan-out worker failed on target "
-                f"{_describe_targets(failed)}: "
-                f"{outcome['detail'].splitlines()[0]}",
-                targets=failed, transport=transport,
-                detail=outcome["detail"])
-    if broken_error is not None:
-        raise FanOutWorkerError(
-            f"a fan-out worker process died; unfinished chunk(s): "
-            f"{_describe_targets(broken)}",
-            targets=broken, transport=transport,
-            detail=repr(broken_error)) from broken_error
-    return outcomes
-
-
-def _collect_stealing(
-    futures: Sequence[Any],
+    futures: Sequence[concurrent.futures.Future[Dict[str, Any]]],
     chunks: List[List[Any]],
     transport: str,
     on_chunk: Optional[OnChunk] = None,
-) -> List[Dict[str, Any]]:
-    """Gather work-stealing worker payloads into ``_merge``-ready outcomes.
+) -> TypingTuple[Dict[Any, Any], List[Any]]:
+    """Gather worker payloads into ``(results, extras)``; raise typed errors.
 
-    Same contract as :func:`_collect` — every future drained, a per-target
-    failure report wins over a broken pool, nothing merged on failure — but
-    the accounting is per *claimed chunk*: each worker returns the list of
-    ``(chunk_index, outcome)`` pairs it ran, and a chunk no worker ever
-    claimed (possible only when the pool broke or a worker bailed early)
-    is what the broken-pool error names.  With ``on_chunk``, a worker's
-    successful chunks stream the moment its future lands (the claim loop
-    returns them in one batch, so granularity is per worker, in completion
-    order); failed chunks are never streamed.
+    Payloads are consumed lazily, in completion order.  Every future is
+    drained before deciding what to raise: a dead worker process breaks the
+    *whole* pool, failing innocent pending futures too, so a per-target
+    failure report from any worker (precise attribution) wins over the
+    broken-pool signal.  Accounting is per *claimed chunk*: each worker
+    returns the ``(chunk_index, outcome)`` pairs it ran, and the chunks no
+    worker reported (possible only when the pool broke) are what the
+    broken-pool error names.  With ``on_chunk``, a worker's successful
+    chunks stream the moment its future lands; failed chunks never stream.
+    Nothing is returned on failure, so nothing merges.
     """
-    pending = {future: position for position, future in enumerate(futures)}
     ran: Dict[int, Dict[str, Any]] = {}
-    extras_slots: List[Any] = [None] * len(futures)
+    extras: List[Any] = [None] * len(futures)
+    positions = {future: position for position, future in enumerate(futures)}
     broken_error: Optional[BaseException] = None
-    for future in concurrent.futures.as_completed(pending):
-        position = pending[future]
+    for future in concurrent.futures.as_completed(positions):
         try:
             payload = future.result()
         except BrokenProcessPool as error:
@@ -566,7 +491,7 @@ def _collect_stealing(
             ran[index] = outcome
             if on_chunk is not None and "failed" not in outcome:
                 on_chunk(list(chunks[index]), dict(outcome["results"]))
-        extras_slots[position] = payload.get("extra")
+        extras[positions[future]] = payload.get("extra")
     failures = sorted((index, outcome) for index, outcome in ran.items()
                       if "failed" in outcome)
     if failures:
@@ -577,22 +502,23 @@ def _collect_stealing(
             f"{outcome['detail'].splitlines()[0]}",
             targets=outcome["failed"], transport=transport,
             detail=outcome["detail"])
-    unclaimed = [target for index, chunk in enumerate(chunks)
-                 if index not in ran for target in chunk]
+    # Chunk order, so the error message is worker-timing-independent.
+    unfinished = [target for index, chunk in enumerate(chunks)
+                  if index not in ran for target in chunk]
     if broken_error is not None:
         raise FanOutWorkerError(
             f"a fan-out worker process died; unfinished chunk(s): "
-            f"{_describe_targets(unclaimed)}",
-            targets=unclaimed, transport=transport,
+            f"{_describe_targets(unfinished)}",
+            targets=unfinished, transport=transport,
             detail=repr(broken_error)) from broken_error
-    if unclaimed:  # invariant guard: no error, yet chunks went unrun
+    if unfinished:  # invariant guard: no error, yet chunks went unrun
         raise FanOutError(
-            f"work-stealing pool lost chunk(s) without reporting an error: "
-            f"{_describe_targets(unclaimed)}")
-    outcomes = [ran[index] for index in sorted(ran)]
-    outcomes.extend({"results": {}, "extra": extra}
-                    for extra in extras_slots if extra is not None)
-    return outcomes
+            f"the fan-out pool lost chunk(s) without reporting an error: "
+            f"{_describe_targets(unfinished)}")
+    results: Dict[Any, Any] = {}
+    for index in sorted(ran):
+        results.update(ran[index]["results"])
+    return results, [extra for extra in extras if extra is not None]
 
 
 def _describe_targets(targets: Sequence[Any]) -> str:
@@ -611,23 +537,21 @@ def fan_out(targets: Sequence[Key], shared_state: Any, spec: FanOutSpec,
 
     Each worker receives the *whole* shared state through its transport
     (fork inheritance or the pickle-once shared-memory segment — never one
-    pickle per chunk) plus target keys: under ``chunking="contiguous"`` one
-    balanced chunk assigned up front, under ``chunking="stealing"`` a view
-    of all fine-grained chunks plus the shared claim index to pull them
-    from (skew insurance — see the module docstring).  Results come back as
-    a :class:`FanOutResult` keyed in the serial target order either way;
-    the serial transport ignores ``chunking`` (one process, one chunk).
+    pickle per chunk) plus the chunk list, and claims chunks off the shared
+    index until none are left; ``chunking`` only sets how many chunks there
+    are (see the module docstring).  Results come back as a
+    :class:`FanOutResult` keyed in the serial target order either way; the
+    serial transport ignores ``chunking`` (one process, one chunk).
 
-    ``on_chunk`` streams each successful chunk to the parent the moment its
-    worker finishes (completion order); the serial transport reports its
-    single chunk once it completes.  The callback runs in the parent and is
-    never shipped to a worker; an exception it raises propagates to the
-    caller.
+    ``on_chunk`` streams each successful chunk to the parent as soon as the
+    worker that ran it returns (worker completion order); the serial
+    transport reports its single chunk once it completes.  The callback
+    runs in the parent and is never shipped to a worker; an exception it
+    raises propagates to the caller.
 
     Raises :class:`~repro.exceptions.FanOutWorkerError` when a worker raises
     or dies; in that case nothing is merged, so the caller's state is
-    untouched (sibling chunks still run to completion — all chunks start
-    concurrently, so the wait is bounded by the slowest one — and the
+    untouched (sibling workers still drain the remaining chunks, and the
     successful ones are still streamed before the raise).
     """
     if chunking not in CHUNKINGS:
@@ -637,28 +561,75 @@ def fan_out(targets: Sequence[Key], shared_state: Any, spec: FanOutSpec,
     requested = 1 if workers is None else workers
     concrete = resolve_transport(transport, workers, len(targets))
     if concrete == "serial":
-        outcomes = _collect_serial(targets, shared_state, spec, on_chunk)
-        return _merge(targets, outcomes, "serial", requested, 1,
-                      _measure_staged_bytes(spec, shared_state))
-
-    pool_size = min(requested, len(targets))
-    if chunking == "stealing":
-        outcomes, state_bytes = _fan_out_stealing(
-            targets, shared_state, spec, concrete, pool_size, on_chunk)
-        # Every worker participates in the claim loop; report the pool size.
-        return _merge(targets, outcomes, concrete, requested, pool_size,
-                      state_bytes)
-
-    chunks = _chunked(targets, pool_size)
-    if concrete == "fork":
-        outcomes = _fan_out_fork(chunks, shared_state, spec, on_chunk)
+        pool_size, chunks = 1, [list(targets)]
+        done: concurrent.futures.Future[Dict[str, Any]] = \
+            concurrent.futures.Future()
+        done.set_result(_run_chunks(spec, shared_state, chunks,
+                                    itertools.count().__next__))
+        results, extras = _collect([done], chunks, concrete, on_chunk)
         state_bytes = _measure_staged_bytes(spec, shared_state)
     else:
-        outcomes, state_bytes = _fan_out_shared_memory(
-            chunks, shared_state, spec, on_chunk)
-    # One worker per chunk actually runs; report that, not the request.
-    return _merge(targets, outcomes, concrete, requested, len(chunks),
-                  state_bytes)
+        pool_size = effective_pool_size(len(targets), requested)
+        chunks = _chunk_targets(targets, pool_size, chunking)
+        (results, extras), state_bytes = _run_pool(
+            chunks, shared_state, spec, concrete, pool_size, on_chunk)
+    return FanOutResult({target: results[target] for target in targets},
+                        concrete, requested, pool_size, extras, state_bytes)
+
+
+def _run_pool(chunks: List[List[Any]], shared_state: Any, spec: FanOutSpec,
+              transport: str, pool_size: int,
+              on_chunk: Optional[OnChunk] = None
+              ) -> TypingTuple[TypingTuple[Dict[Any, Any], List[Any]],
+                               Optional[int]]:
+    """Run the claim loop in ``pool_size`` worker processes.
+
+    The claim index is created from the pool's own multiprocessing context
+    and shipped via the pool *initializer* — the one channel that reaches
+    fork and spawn workers alike.  Returns the collected ``(results,
+    extras)`` and the staged state size.
+    """
+    global _FORK_SHARED
+    context = multiprocessing.get_context(
+        "fork" if transport == "fork" else "spawn")
+    claim = context.Value("l", 0)
+
+    def run(worker: Callable[[Any], Dict[str, Any]], payload: Any
+            ) -> TypingTuple[Dict[Any, Any], List[Any]]:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=pool_size, mp_context=context,
+                initializer=_claim_init, initargs=(claim,)) as pool:
+            futures: List[concurrent.futures.Future[Dict[str, Any]]] = []
+            for _ in range(pool_size):
+                try:
+                    futures.append(pool.submit(worker, payload))
+                except BrokenProcessPool:
+                    # A worker died before the last submit; the collector
+                    # names the chunks nobody finished.
+                    break
+            return _collect(futures, chunks, transport, on_chunk)
+
+    if transport == "fork":
+        # The pool forks its workers on first submit — after this staging,
+        # so every worker inherits the shared state copy-on-write.
+        _FORK_SHARED = (spec, shared_state)
+        try:
+            return run(_fork_worker, chunks), \
+                _measure_staged_bytes(spec, shared_state)
+        finally:
+            _FORK_SHARED = None
+
+    from multiprocessing import shared_memory
+
+    blob = pickle.dumps((spec, shared_state),
+                        protocol=pickle.HIGHEST_PROTOCOL)
+    segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
+    try:
+        segment.buf[:len(blob)] = blob
+        return run(_shm_worker, (segment.name, len(blob), chunks)), len(blob)
+    finally:
+        segment.close()
+        segment.unlink()
 
 
 def _measure_staged_bytes(spec: FanOutSpec, shared_state: Any
@@ -681,128 +652,3 @@ def _measure_staged_bytes(spec: FanOutSpec, shared_state: Any
                                     protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             return None
-
-
-def _collect_serial(targets: Sequence[Any], shared_state: Any,
-                    spec: FanOutSpec,
-                    on_chunk: Optional[OnChunk] = None
-                    ) -> List[Dict[str, Any]]:
-    outcome = _run_chunk(spec, shared_state, list(targets))
-    if "failed" in outcome:
-        raise FanOutWorkerError(
-            f"a fan-out worker failed on target "
-            f"{_describe_targets(outcome['failed'])}: "
-            f"{outcome['detail'].splitlines()[0]}",
-            targets=outcome["failed"], transport="serial",
-            detail=outcome["detail"])
-    if on_chunk is not None:
-        on_chunk(list(targets), dict(outcome["results"]))
-    return [outcome]
-
-
-def _fan_out_stealing(targets: Sequence[Any], shared_state: Any,
-                      spec: FanOutSpec, concrete: str, pool_size: int,
-                      on_chunk: Optional[OnChunk] = None
-                      ) -> TypingTuple[List[Dict[str, Any]], Optional[int]]:
-    """Work-stealing fan-out over fine-grained chunks on either transport.
-
-    ``_STEAL_CHUNK_FACTOR`` chunks per worker (capped at one target per
-    chunk) go behind a shared claim index created from the pool's own
-    multiprocessing context and shipped via the pool *initializer* — the
-    one channel that reaches fork and spawn workers alike.  Exactly
-    ``pool_size`` workers are submitted; each loops claiming chunks until
-    the index runs off the end.
-    """
-    n_chunks = min(len(targets), pool_size * _STEAL_CHUNK_FACTOR)
-    chunks = _chunked(targets, n_chunks)
-    method = "fork" if concrete == "fork" else "spawn"
-    context = multiprocessing.get_context(method)
-    claim = context.Value("l", 0)
-    if concrete == "fork":
-        global _FORK_SHARED
-        _FORK_SHARED = (spec, shared_state)
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=pool_size, mp_context=context,
-                    initializer=_steal_init, initargs=(claim,)) as pool:
-                futures = [pool.submit(_fork_steal_worker, chunks)
-                           for _ in range(pool_size)]
-                outcomes = _collect_stealing(futures, chunks, concrete,
-                                             on_chunk)
-        finally:
-            _FORK_SHARED = None
-        return outcomes, _measure_staged_bytes(spec, shared_state)
-
-    from multiprocessing import shared_memory
-
-    blob = pickle.dumps((spec, shared_state),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-    try:
-        segment.buf[:len(blob)] = blob
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=pool_size, mp_context=context,
-                initializer=_steal_init, initargs=(claim,)) as pool:
-            futures = [pool.submit(_shm_steal_worker,
-                                   (segment.name, len(blob), chunks))
-                       for _ in range(pool_size)]
-            outcomes = _collect_stealing(futures, chunks, concrete, on_chunk)
-        return outcomes, len(blob)
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def _fan_out_fork(chunks: List[List[Any]], shared_state: Any,
-                  spec: FanOutSpec,
-                  on_chunk: Optional[OnChunk] = None) -> List[Dict[str, Any]]:
-    global _FORK_SHARED
-    context = multiprocessing.get_context("fork")
-    _FORK_SHARED = (spec, shared_state)
-    try:
-        # The pool forks its workers on first submit — after the staging
-        # above, so every worker inherits the shared state copy-on-write.
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=len(chunks), mp_context=context) as pool:
-            pairs = [(pool.submit(_fork_chunk, chunk), chunk)
-                     for chunk in chunks]
-            return _collect(pairs, "fork", on_chunk)
-    finally:
-        _FORK_SHARED = None
-
-
-def _fan_out_shared_memory(chunks: List[List[Any]], shared_state: Any,
-                           spec: FanOutSpec,
-                           on_chunk: Optional[OnChunk] = None
-                           ) -> TypingTuple[List[Dict[str, Any]], int]:
-    from multiprocessing import shared_memory
-
-    blob = pickle.dumps((spec, shared_state),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-    try:
-        segment.buf[:len(blob)] = blob
-        context = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=len(chunks), mp_context=context) as pool:
-            pairs = [(pool.submit(_shm_chunk,
-                                  (segment.name, len(blob), chunk)), chunk)
-                     for chunk in chunks]
-            return _collect(pairs, "shared-memory", on_chunk), len(blob)
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def _merge(targets: Sequence[Any], outcomes: List[Dict[str, Any]],
-           transport: str, requested: int, effective: int,
-           state_bytes: Optional[int] = None) -> FanOutResult:
-    results: Dict[Any, Any] = {}
-    extras: List[Any] = []
-    for outcome in outcomes:
-        results.update(outcome["results"])
-        if outcome["extra"] is not None:
-            extras.append(outcome["extra"])
-    ordered = {target: results[target] for target in targets}
-    return FanOutResult(ordered, transport, requested, effective, extras,
-                        state_bytes)

@@ -317,16 +317,7 @@ class BatchExplainer:
         memoized per answer; :meth:`refresh` drops exactly the memos a
         recorded change invalidates.
         """
-        if self.query.is_boolean:
-            if answer not in (None, (), []):
-                raise CausalityError("a Boolean query takes no answer tuple")
-            key: Answer = ()
-        else:
-            if answer is None:
-                raise CausalityError(
-                    "a non-Boolean query needs the answer tuple to explain"
-                )
-            key = tuple(answer)
+        key = self._key(answer)
         memo = self._explanations.get(key)
         if memo is not None:
             self.memo_hits += 1
@@ -335,6 +326,32 @@ class BatchExplainer:
         explanation = self._explain_uncached(key, answer)
         self._explanations[key] = explanation
         return explanation
+
+    def _key(self, answer: Optional[Sequence[Any]]) -> Answer:
+        if self.query.is_boolean:
+            if answer not in (None, (), []):
+                raise CausalityError("a Boolean query takes no answer tuple")
+            return ()
+        if answer is None:
+            raise CausalityError(
+                "a non-Boolean query needs the answer tuple to explain"
+            )
+        return tuple(answer)
+
+    def _require_target(self, target: Answer) -> None:
+        """Raise unless ``target`` is an answer; run before anything streams.
+
+        After the full pass this is a lookup in its groups (no block is
+        materialised); before it, the target's lineage is evaluated lazily,
+        exactly as :meth:`explain` would, so the full pass is never forced.
+        """
+        known = target in self._conjuncts if self._full_pass_done \
+            else bool(self._conjuncts_for(target))
+        if not known:
+            raise CausalityError(
+                f"{target!r} is not an answer on this database; "
+                "use mode='why-no'"
+            )
 
     def _explain_uncached(self, key: Answer,
                           answer: Optional[Sequence[Any]]) -> Explanation:
@@ -380,40 +397,17 @@ class BatchExplainer:
                     chunking: str = "contiguous") -> FanOutResult:
         """Explanations for every answer (or the given subset), keyed by answer.
 
-        ``workers`` > 1 fans the answers out over worker processes in
-        chunks.  The parent completes the open-query valuation
-        pass first; every worker *inherits* the resulting per-answer groups,
-        the exogenous set and a read-only snapshot of the database through
-        the chosen ``transport`` (see :mod:`repro.engine._pool`: ``"auto"``,
-        ``"serial"``, ``"fork"``, ``"shared-memory"``), so no worker re-runs
-        a valuation pass.  Afterwards the workers' explanations are memoized
-        and their :class:`~repro.engine.cache.LineageCache` entries merged
-        into this explainer, leaving its state exactly as a serial run would
-        — bit-identical results, keyed in the serial answer order regardless
-        of the worker count.
-
-        ``chunking`` picks the pool discipline (``"contiguous"``, the
-        default, or ``"stealing"``; see :mod:`repro.engine._pool`).  Workers
-        start from a **pre-seed** of this explainer's
-        :class:`~repro.engine.cache.LineageCache` entries and return
-        mergeable :class:`~repro.engine.cache.CacheShard`\\ s, keeping
+        Runs :func:`explain_batch`, which documents ``workers``,
+        ``transport``, ``on_chunk`` and ``chunking``.  With ``workers`` > 1
+        the parent completes the open-query valuation pass first; every
+        worker *inherits* the resulting per-answer groups, the exogenous
+        set and a read-only snapshot of the database, so no worker re-runs
+        a valuation pass.  Workers start from a **pre-seed** of this
+        explainer's :class:`~repro.engine.cache.LineageCache` entries and
+        return mergeable :class:`~repro.engine.cache.CacheShard`\\ s, keeping
         refresh-then-parallel incremental with commutative, lock-free
-        merges.  A target listed twice is explained, streamed and counted
-        once, on every path.
-
-        ``on_chunk`` streams ranked explanations back incrementally instead
-        of one dict at the end: the serial path reports each answer as it is
-        explained, the parallel paths report each worker chunk as it
-        completes (already-memoized answers are streamed first, as one
-        chunk, without touching a worker).  On a worker failure the
-        delivered chunks stand, the typed
-        :class:`~repro.exceptions.FanOutWorkerError` still raises and
-        nothing merges — a streaming consumer marks the result partial from
-        the error, never silently serves the shorter ranking.
-
-        The returned :class:`~repro.engine._pool.FanOutResult` is a plain
-        dict that additionally reports the transport and the requested vs.
-        effective worker count that actually ran.
+        merges.  Every explicit target is checked to be an answer before
+        anything is explained or streamed.
 
         Examples
         --------
@@ -431,66 +425,20 @@ class BatchExplainer:
         >>> explainer.explain_all().transport
         'serial'
         """
-        if answers is None:
-            targets = self.answers()
-        else:
-            targets = list(dict.fromkeys(tuple(a) for a in answers))
-        requested = 1 if workers is None else workers
-        concrete = resolve_transport(transport, workers, len(targets))
-        pending = targets
-        if concrete != "serial":
-            # Finish the shared pass here, so the workers inherit it.
-            self._run_full_pass()
-            for target in targets:
-                # Validate in the parent — same error, same place, as serial.
-                if target not in self._conjuncts:
-                    raise CausalityError(
-                        f"{target!r} is not an answer on this database; "
-                        "use mode='why-no'"
-                    )
-            # Memoized answers (e.g. kept across a refresh) are served from
-            # the parent; only the rest is worth shipping to workers.
-            pending = [t for t in targets if t not in self._explanations]
-            concrete = resolve_transport(transport, workers, len(pending))
-        if concrete == "serial":
-            results = {}
-            for answer in targets:
-                results[answer] = self.explain(answer)
-                if on_chunk is not None:
-                    on_chunk([answer], {answer: results[answer]})
-            return FanOutResult(results, "serial", requested, 1)
+        targets = self.answers() if answers is None \
+            else list(dict.fromkeys(self._key(a) for a in answers))
+        return explain_batch(self, targets, self._stage_fanout, workers,
+                             transport, on_chunk, chunking)
 
-        served = [t for t in targets if t not in pending]
-        if served:
-            self.memo_hits += len(served)
-            if on_chunk is not None:
-                # Stream the parent-served memos first, as one chunk, so
-                # the consumer sees every requested target exactly once.
-                on_chunk(served, {t: self._explanations[t] for t in served})
+    def _stage_fanout(self, targets: List[Answer]
+                      ) -> TypingTuple["_WhySoFanOutState", FanOutSpec]:
+        # Finish the shared pass here, so the workers inherit it.
+        self._run_full_pass()
         state = _WhySoFanOutState(self.query, self.session.fanout_snapshot(),
                                   self.method, self._conjuncts,
                                   self._exogenous,
                                   self.cache.export_entries())
-        try:
-            result = fan_out(pending, state, _WHYSO_SPEC, workers=workers,
-                             transport=concrete, on_chunk=on_chunk,
-                             chunking=chunking)
-        except FanOutWorkerError as error:
-            # Name the whole batch on the error, so a streaming consumer can
-            # mark exactly which targets were requested but never delivered.
-            error.requested = tuple(targets)
-            raise
-        # Success: adopt the workers' results so this explainer ends up in
-        # the same state as after a serial run (a failed fan-out raises
-        # above and merges nothing).
-        self.memo_misses += len(pending)
-        self._explanations.update(result)
-        for shard in result.extras:
-            self.cache.merge_shard(shard)
-        return FanOutResult({t: self._explanations[t] for t in targets},
-                            result.transport, requested,
-                            result.effective_workers, result.extras,
-                            result.state_bytes)
+        return state, _WHYSO_SPEC
 
     # ------------------------------------------------------------------ #
     # incremental re-explanation
@@ -804,6 +752,86 @@ def _whyso_worker_export_cache(explainer: BatchExplainer) -> CacheShard:
 _WHYSO_SPEC = FanOutSpec(compute=_whyso_worker_explain,
                          setup=_whyso_worker_setup,
                          finalize=_whyso_worker_export_cache)
+
+
+def explain_batch(engine: Any, targets: List[Answer],
+                  stage: Callable[[List[Answer]],
+                                  TypingTuple[Any, FanOutSpec]],
+                  workers: Optional[int] = None, transport: str = "auto",
+                  on_chunk: Optional[OnChunk] = None,
+                  chunking: str = "contiguous") -> FanOutResult:
+    """The one ``explain_all`` driver of both batch engines.
+
+    ``engine`` is a :class:`BatchExplainer` or a
+    :class:`~repro.engine.whyno_batch.WhyNoBatchExplainer`: it explains one
+    target with ``explain``, memoizes in ``_explanations``, counts
+    ``memo_hits`` / ``memo_misses`` and rejects a target it cannot explain
+    with ``_require_target``.  ``stage(pending)`` finishes the engine's
+    shared work and returns the ``(state, spec)`` pair the workers inherit.
+
+    ``workers`` > 1 fans the not-yet-memoized targets out over worker
+    processes through the chosen ``transport`` (see
+    :mod:`repro.engine._pool`: ``"auto"``, ``"serial"``, ``"fork"``,
+    ``"shared-memory"``), claimed in chunks set by ``chunking``
+    (``"contiguous"``, the default, or ``"stealing"``).  Memoized targets
+    (e.g. kept across a refresh) are served from the parent.  Afterwards
+    the workers' explanations are memoized and their cache shards merged,
+    leaving the engine exactly as a serial run would — bit-identical
+    results, keyed in the serial target order regardless of the worker
+    count.  A target listed twice is explained, streamed and counted once.
+
+    Every target not already memoized is validated before anything is
+    explained or streamed, on every path.  ``on_chunk`` then streams ranked
+    explanations back incrementally instead of one dict at the end: the
+    serial path reports each target as it is explained, the parallel paths
+    report the memoized targets first, as one chunk, then each worker's
+    chunks as the worker completes.  On a worker failure the delivered
+    chunks stand, the typed :class:`~repro.exceptions.FanOutWorkerError`
+    still raises — with ``requested`` naming the whole batch, so a
+    streaming consumer can mark exactly which targets were never delivered
+    — and nothing merges.
+
+    The returned :class:`~repro.engine._pool.FanOutResult` is a plain dict
+    that additionally reports the transport and the requested vs.
+    effective worker count that actually ran.
+    """
+    requested = 1 if workers is None else workers
+    pending = [t for t in targets if t not in engine._explanations]
+    concrete = resolve_transport(transport, workers, len(pending))
+    staged = None if concrete == "serial" else stage(pending)
+    for target in pending:
+        engine._require_target(target)
+    if staged is None:
+        results = {}
+        for target in targets:
+            results[target] = engine.explain(target)
+            if on_chunk is not None:
+                on_chunk([target], {target: results[target]})
+        return FanOutResult(results, "serial", requested, 1)
+
+    served = [t for t in targets if t not in pending]
+    if served:
+        engine.memo_hits += len(served)
+        if on_chunk is not None:
+            on_chunk(served, {t: engine._explanations[t] for t in served})
+    state, spec = staged
+    try:
+        result = fan_out(pending, state, spec, workers=workers,
+                         transport=concrete, on_chunk=on_chunk,
+                         chunking=chunking)
+    except FanOutWorkerError as error:
+        error.requested = tuple(targets)
+        raise
+    # Success: adopt the workers' results (a failed fan-out raises above
+    # and merges nothing).  Only Why-So workers return cache shards.
+    engine.memo_misses += len(pending)
+    engine._explanations.update(result)
+    for shard in result.extras:
+        engine.cache.merge_shard(shard)
+    return FanOutResult({t: engine._explanations[t] for t in targets},
+                        result.transport, requested,
+                        result.effective_workers, result.extras,
+                        result.state_bytes)
 
 
 def batch_explain(query: ConjunctiveQuery, database: Database,

@@ -70,7 +70,7 @@ from typing import (
 from ..core.api import Explanation
 from ..core.definitions import CausalityMode
 from ..core.whyno import whyno_causes_from_n_lineage
-from ..exceptions import CausalityError, FanOutWorkerError
+from ..exceptions import CausalityError
 from ..lineage.boolean_expr import PositiveDNF
 from ..lineage.whyno import batch_candidate_missing_tuples, build_whyno_instance
 from ..relational.columnar import ConjunctGroup, materialize_conjuncts
@@ -80,9 +80,8 @@ from ..relational.evaluation import evaluate, evaluate_boolean
 from ..relational.query import ConjunctiveQuery, Variable, match_atom
 from ..relational.session import open_session
 from ..relational.tuples import Tuple, value_sort_key
-from ._pool import FanOutResult, FanOutSpec, OnChunk, fan_out, \
-    resolve_transport
-from .batch import BatchExplainer, RefreshReport
+from ._pool import FanOutResult, FanOutSpec, OnChunk
+from .batch import BatchExplainer, RefreshReport, explain_batch
 
 Answer = TypingTuple[Any, ...]
 
@@ -113,6 +112,33 @@ def _restricted_n_lineage(conjuncts: Iterable[FrozenSet[Tuple]],
     ]
     phi_n = PositiveDNF(kept).set_true(exogenous)
     return phi_n.remove_redundant() if simplify else phi_n
+
+
+def _missing_heads(query: ConjunctiveQuery, database: Database,
+                   domains: Optional[Mapping[str, Iterable[Any]]]
+                   ) -> TypingTuple[List[Answer], FrozenSet[Answer]]:
+    """The head tuples the domains allow that ``query`` does not return.
+
+    Enumerates the product of the head variables' domains (entries of
+    ``domains``, defaulting to the active domain) and drops the actual
+    answers.  Returns the non-answers in canonical answer order, plus the
+    answer set.
+    """
+    adom = sorted(database.active_domain(), key=repr)
+    head_variables = sorted(
+        {t for t in query.head if isinstance(t, Variable)},
+        key=lambda v: v.name)
+    value_lists = [list(domains[v.name]) if domains is not None
+                   and v.name in domains else adom for v in head_variables]
+    actual = evaluate(query, database)
+    missing = set()
+    for values in itertools.product(*value_lists):
+        assignment = dict(zip(head_variables, values))
+        head = tuple(assignment[t] if isinstance(t, Variable) else t.value
+                     for t in query.head)
+        if head not in actual:
+            missing.add(head)
+    return sorted(missing, key=value_sort_key), actual
 
 
 class WhyNoBatchExplainer:
@@ -309,25 +335,7 @@ class WhyNoBatchExplainer:
                        _actual_answers=frozenset([()]) if satisfied
                        else frozenset(),
                        _discover_on_refresh=True)
-        adom = sorted(database.active_domain(), key=repr)
-        head_variables = sorted(
-            {t for t in query.head if isinstance(t, Variable)},
-            key=lambda v: v.name)
-        value_lists = []
-        for variable in head_variables:
-            if domains is not None and variable.name in domains:
-                value_lists.append(list(domains[variable.name]))
-            else:
-                value_lists.append(list(adom))
-        actual = evaluate(query, database)
-        targets = []
-        for values in itertools.product(*value_lists):
-            assignment = dict(zip(head_variables, values))
-            head = tuple(assignment[t] if isinstance(t, Variable) else t.value
-                         for t in query.head)
-            if head not in actual:
-                targets.append(head)
-        targets = sorted(set(targets), key=value_sort_key)
+        targets, actual = _missing_heads(query, database, domains)
         # The answer set is handed down so the constructor's actual-answer
         # rejection does not repeat the open-query pass just run.
         return cls(query, database, non_answers=targets, domains=domains,
@@ -538,25 +546,9 @@ class WhyNoBatchExplainer:
             if () in self._per_answer_candidates:
                 return []
             return [] if evaluate_boolean(self.query, self.database) else [()]
-        adom = sorted(self.database.active_domain(), key=repr)
-        head_variables = sorted(
-            {t for t in self.query.head if isinstance(t, Variable)},
-            key=lambda v: v.name)
-        value_lists = []
-        for variable in head_variables:
-            if self.domains is not None and variable.name in self.domains:
-                value_lists.append(list(self.domains[variable.name]))
-            else:
-                value_lists.append(list(adom))
-        actual = evaluate(self.query, self.database)
-        fresh = set()
-        for values in itertools.product(*value_lists):
-            assignment = dict(zip(head_variables, values))
-            head = tuple(assignment[t] if isinstance(t, Variable) else t.value
-                         for t in self.query.head)
-            if head not in actual and head not in self._per_answer_candidates:
-                fresh.add(head)
-        return sorted(fresh, key=value_sort_key)
+        missing, _ = _missing_heads(self.query, self.database, self.domains)
+        return [head for head in missing
+                if head not in self._per_answer_candidates]
 
     def refresh(self, delta: DatabaseDelta,
                 _changed: Optional[FrozenSet[Tuple]] = None) -> RefreshReport:
@@ -726,27 +718,14 @@ class WhyNoBatchExplainer:
                     chunking: str = "contiguous") -> FanOutResult:
         """Explanations for every non-answer (or the given subset).
 
-        ``on_chunk`` streams results incrementally exactly as in
-        :meth:`repro.engine.BatchExplainer.explain_all`: per non-answer on
-        the serial path, per completed worker chunk on the parallel ones
-        (memoized targets first), with failed chunks never delivered and
-        the typed error still raised.
-
-        ``workers`` > 1 fans the non-answers out over worker processes in
-        chunks.  The parent finishes the one shared valuation pass over
-        the combined instance first; the workers inherit the
+        Runs :func:`~repro.engine.batch.explain_batch`, the driver shared
+        with :meth:`repro.engine.BatchExplainer.explain_all`, which
+        documents ``workers``, ``transport``, ``on_chunk`` and
+        ``chunking``.  The parent finishes the one shared valuation pass
+        over the combined instance first; fan-out workers inherit the
         pre-grouped conjuncts, the per-non-answer candidate sets and the
-        exogenous set through the chosen ``transport`` (see
-        :mod:`repro.engine._pool`) and only restrict + rank — no worker
-        regenerates candidates, rebuilds the combined instance or re-runs a
-        pass.  The results are bit-identical to the serial ones, keyed in
-        the serial order regardless of the worker count, and the returned
-        :class:`~repro.engine._pool.FanOutResult` reports the transport and
-        effective worker count that actually ran.
-
-        ``chunking`` picks the pool discipline (``"contiguous"``, the
-        default, or ``"stealing"``).  A target listed twice is explained,
-        streamed and counted once, on every path.
+        exogenous set and only restrict + rank — no worker regenerates
+        candidates, rebuilds the combined instance or re-runs a pass.
 
         Examples
         --------
@@ -763,59 +742,27 @@ class WhyNoBatchExplainer:
         """
         if self._poisoned is not None:
             raise CausalityError(self._poisoned)
-        if non_answers is None:
-            targets = list(self.non_answers)
-        else:
-            # Validate up front so the serial and fan-out paths reject
-            # out-of-batch targets identically.
-            targets = list(dict.fromkeys(self._key(a) for a in non_answers))
-        requested = 1 if workers is None else workers
-        concrete = resolve_transport(transport, workers, len(targets))
-        pending = targets
-        if concrete != "serial":
-            # Memoized non-answers (e.g. kept across a refresh) are served
-            # from the parent; only the rest is worth shipping to workers.
-            pending = [t for t in targets if t not in self._explanations]
-            concrete = resolve_transport(transport, workers, len(pending))
-        if concrete == "serial":
-            if len(targets) > 1:
-                # Force the single shared valuation pass; single targets keep
-                # the cheaper lazy bound-query evaluation instead.
-                self._inner.answers()
-            results = {}
-            for answer in targets:
-                results[answer] = self.explain(answer)
-                if on_chunk is not None:
-                    on_chunk([answer], {answer: results[answer]})
-            return FanOutResult(results, "serial", requested, 1)
+        # Out-of-batch targets are rejected here, before the shared pass.
+        targets = list(self.non_answers) if non_answers is None \
+            else list(dict.fromkeys(self._key(a) for a in non_answers))
+        if len(targets) > 1:
+            # One shared valuation pass serves the batch (and is what the
+            # workers inherit); a single target keeps the cheaper lazy
+            # bound-query evaluation.
+            self._inner.answers()
+        return explain_batch(self, targets, self._stage_fanout, workers,
+                             transport, on_chunk, chunking)
 
-        # Parallel: finish the shared pass here, so the workers inherit it.
-        self._inner.answers()
-        served = [t for t in targets if t not in pending]
-        if served:
-            self.memo_hits += len(served)
-            if on_chunk is not None:
-                on_chunk(served, {t: self._explanations[t] for t in served})
+    def _require_target(self, target: Answer) -> None:
+        """The driver's per-target check: membership in this batch."""
+        self._key(target)
+
+    def _stage_fanout(self, targets: List[Answer]
+                      ) -> TypingTuple["_WhyNoFanOutState", FanOutSpec]:
         state = _WhyNoFanOutState(self.query, self._inner._conjuncts,
                                   self._inner._exogenous,
                                   self._per_answer_candidates)
-        try:
-            result = fan_out(pending, state, _WHYNO_SPEC, workers=workers,
-                             transport=concrete, on_chunk=on_chunk,
-                             chunking=chunking)
-        except FanOutWorkerError as error:
-            # Name the whole batch on the error, so a streaming consumer can
-            # mark exactly which targets were requested but never delivered.
-            error.requested = tuple(targets)
-            raise
-        # Success: memoize like the serial loop (a failed fan-out raises
-        # above and merges nothing).
-        self.memo_misses += len(pending)
-        self._explanations.update(result)
-        return FanOutResult({t: self._explanations[t] for t in targets},
-                            result.transport, requested,
-                            result.effective_workers, result.extras,
-                            result.state_bytes)
+        return state, _WHYNO_SPEC
 
     def close(self) -> None:
         """Release the backend session's resources (e.g. the SQLite load)."""

@@ -17,7 +17,7 @@ import pytest
 
 from repro.engine import BatchExplainer
 from repro.engine import batch as batch_module
-from repro.engine._pool import FanOutSpec, fan_out
+from repro.engine._pool import CHUNKINGS, FanOutSpec, _chunk_targets, fan_out
 from repro.exceptions import CausalityError, FanOutError, FanOutWorkerError
 from repro.relational import Database, parse_query
 
@@ -56,6 +56,13 @@ def _exit_on_marked_answer(explainer, answer):
     return batch_module._whyso_worker_explain(explainer, answer)
 
 
+def failed_chunk(targets, transport, chunking):
+    """The chunk holding ``POISON`` when 2 workers split ``targets``."""
+    chunks = [targets] if transport == "serial" \
+        else _chunk_targets(targets, 2, chunking)
+    return next(chunk for chunk in chunks if POISON in chunk)
+
+
 def example_db() -> Database:
     db = Database()
     for x, y in [("a1", "a5"), ("a2", "a1"), ("a3", "a3"), ("a4", "a3"),
@@ -66,13 +73,14 @@ def example_db() -> Database:
     return db
 
 
+@pytest.mark.parametrize("chunking", CHUNKINGS)
 class TestPoolFailures:
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_raising_worker_names_the_target(self, transport):
+    def test_raising_worker_names_the_target(self, transport, chunking):
         spec = FanOutSpec(compute=_compute_or_raise)
         with pytest.raises(FanOutWorkerError) as excinfo:
             fan_out(["t1", "t2", "t3", "t4"], "state-", spec, workers=2,
-                    transport=transport)
+                    transport=transport, chunking=chunking)
         error = excinfo.value
         assert error.target == POISON
         assert error.targets == (POISON,)
@@ -81,40 +89,48 @@ class TestPoolFailures:
         assert POISON in str(error)
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_setup_failure_names_the_chunk(self, transport):
+    def test_setup_failure_names_the_chunk(self, transport, chunking):
         spec = FanOutSpec(compute=_compute_or_raise,
                           setup=_setup_that_raises)
         with pytest.raises(FanOutWorkerError) as excinfo:
             fan_out(["t1", "t3"], "state-", spec, workers=2,
-                    transport=transport)
+                    transport=transport, chunking=chunking)
         error = excinfo.value
         assert error.target is None or len(error.targets) == 1
         assert set(error.targets) <= {"t1", "t3"}
         assert "RuntimeError" in error.detail
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
-    def test_dying_worker_process_is_a_typed_error_not_a_hang(self):
+    def test_dying_worker_process_is_a_typed_error_not_a_hang(self,
+                                                              chunking):
         spec = FanOutSpec(compute=_compute_or_die)
         with pytest.raises(FanOutWorkerError) as excinfo:
             fan_out(["t1", "t2", "t3", "t4"], "state-", spec, workers=2,
-                    transport="fork")
+                    transport="fork", chunking=chunking)
         error = excinfo.value
         # The process died without reporting, so the whole chunk is named.
         assert POISON in error.targets
         assert error.transport == "fork"
 
-    def test_unknown_transport_is_typed(self):
-        with pytest.raises(FanOutError):
-            fan_out(["t1", "t2"], "s", FanOutSpec(compute=_compute_or_raise),
-                    workers=2, transport="carrier-pigeon")
+    @pytest.mark.parametrize("transport,workers", [
+        ("carrier-pigeon", 2), ("auto", 0), ("auto", -3), ("serial", 0),
+        ("fork" if HAS_FORK else "shared-memory", -2)])
+    def test_unknown_transport_is_typed(self, transport, workers, chunking):
+        """Unknown transports and worker counts below 1 are typed errors."""
+        with pytest.raises(FanOutError) as excinfo:
+            fan_out(["t1", "t3"], "s", FanOutSpec(compute=_compute_or_raise),
+                    workers=workers, transport=transport, chunking=chunking)
+        assert not isinstance(excinfo.value, FanOutWorkerError)
 
-    def test_successful_run_keeps_all_targets(self):
+    def test_successful_run_keeps_all_targets(self, chunking):
         spec = FanOutSpec(compute=_compute_or_raise)
         result = fan_out(["t1", "t3", "t4"], "s-", spec, workers=2,
-                         transport="fork" if HAS_FORK else "shared-memory")
+                         transport="fork" if HAS_FORK else "shared-memory",
+                         chunking=chunking)
         assert dict(result) == {"t1": "s-t1", "t3": "s-t3", "t4": "s-t4"}
 
 
+@pytest.mark.parametrize("chunking", CHUNKINGS)
 class TestStreamingChunks:
     """The ``on_chunk`` streaming seam: complete, ordered, never silent.
 
@@ -126,11 +142,12 @@ class TestStreamingChunks:
     """
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_pool_streams_each_successful_chunk_once(self, transport):
+    def test_pool_streams_each_successful_chunk_once(self, transport,
+                                                     chunking):
         spec = FanOutSpec(compute=_compute_or_raise)
         chunks = []
         result = fan_out(["t1", "t3", "t4", "t5"], "s-", spec, workers=2,
-                         transport=transport,
+                         transport=transport, chunking=chunking,
                          on_chunk=lambda t, r: chunks.append((t, r)))
         delivered = [t for targets, _ in chunks for t in targets]
         assert sorted(delivered) == ["t1", "t3", "t4", "t5"]
@@ -140,40 +157,42 @@ class TestStreamingChunks:
         assert merged == dict(result)
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_pool_never_streams_a_failed_chunk(self, transport):
+    def test_pool_never_streams_a_failed_chunk(self, transport, chunking):
         spec = FanOutSpec(compute=_compute_or_raise)
+        targets = ["t1", "t2", "t3", "t4"]
         chunks = []
         with pytest.raises(FanOutWorkerError):
-            fan_out(["t1", "t2", "t3", "t4"], "s-", spec, workers=2,
-                    transport=transport,
+            fan_out(targets, "s-", spec, workers=2,
+                    transport=transport, chunking=chunking,
                     on_chunk=lambda t, r: chunks.append(list(t)))
-        delivered = [t for targets in chunks for t in targets]
-        assert POISON not in delivered
+        delivered = [t for chunk in chunks for t in chunk]
         # The poisoned chunk as a whole is withheld, not just the target.
-        if transport != "serial":
-            assert "t1" not in delivered
+        assert not set(failed_chunk(targets, transport, chunking)) \
+            & set(delivered)
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
-    def test_pool_streams_survivor_chunks_when_a_worker_dies(self):
+    def test_pool_streams_survivor_chunks_when_a_worker_dies(self,
+                                                             chunking):
         spec = FanOutSpec(compute=_compute_or_die)
+        targets = ["t1", "t2", "t3", "t4"]
         chunks = []
         with pytest.raises(FanOutWorkerError):
-            fan_out(["t1", "t2", "t3", "t4"], "s-", spec, workers=2,
-                    transport="fork",
+            fan_out(targets, "s-", spec, workers=2,
+                    transport="fork", chunking=chunking,
                     on_chunk=lambda t, r: chunks.append(list(t)))
-        delivered = [t for targets in chunks for t in targets]
-        assert POISON not in delivered
-        assert set(delivered) <= {"t3", "t4"}
+        delivered = [t for chunk in chunks for t in chunk]
+        assert not set(failed_chunk(targets, "fork", chunking)) \
+            & set(delivered)
 
     @pytest.mark.parametrize("workers,transport",
                              [(None, "serial"), (2, "shared-memory")]
                              + ([(2, "fork")] if HAS_FORK else []))
     def test_engine_streams_every_answer_exactly_once(self, workers,
-                                                      transport):
+                                                      transport, chunking):
         explainer = BatchExplainer(QUERY, example_db(), method="exact")
         chunks = []
         result = explainer.explain_all(
-            workers=workers, transport=transport,
+            workers=workers, transport=transport, chunking=chunking,
             on_chunk=lambda t, r: chunks.append((list(t), dict(r))))
         delivered = [t for targets, _ in chunks for t in targets]
         assert sorted(delivered) == sorted(result)
@@ -187,12 +206,12 @@ class TestStreamingChunks:
                 for k, v in result.items()}
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
-    def test_engine_streams_memoized_answers_first(self):
+    def test_engine_streams_memoized_answers_first(self, chunking):
         explainer = BatchExplainer(QUERY, example_db(), method="exact")
         warm = ("a2",)
         explainer.explain(warm)
         chunks = []
-        explainer.explain_all(workers=2, transport="fork",
+        explainer.explain_all(workers=2, transport="fork", chunking=chunking,
                               on_chunk=lambda t, r: chunks.append(list(t)))
         assert warm in chunks[0]
         delivered = [t for targets in chunks for t in targets]
@@ -202,7 +221,7 @@ class TestStreamingChunks:
     @pytest.mark.parametrize("compute", [_explode_on_marked_answer,
                                          _exit_on_marked_answer])
     def test_engine_failure_accounts_for_every_target(self, compute,
-                                                      monkeypatch):
+                                                      monkeypatch, chunking):
         """delivered + failed + missing == requested; no silent shrink."""
         explainer = BatchExplainer(QUERY, example_db(), method="exact")
         monkeypatch.setattr(
@@ -213,6 +232,7 @@ class TestStreamingChunks:
         chunks = []
         with pytest.raises(FanOutWorkerError) as excinfo:
             explainer.explain_all(workers=2, transport="fork",
+                                  chunking=chunking,
                                   on_chunk=lambda t, r: chunks.append(list(t)))
         error = excinfo.value
         delivered = [t for targets in chunks for t in targets]
@@ -229,12 +249,17 @@ class TestStreamingChunks:
 class TestEngineFailures:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_non_answer_target_rejected_identically(self, workers):
-        """Serial and fan-out validate targets with the same error."""
+        """Serial and fan-out validate targets with the same error, and
+        both reject the batch before streaming any of it."""
         explainer = BatchExplainer(QUERY, example_db())
+        chunks = []
         with pytest.raises(CausalityError, match="not an answer") as error:
-            explainer.explain_all(answers=[("a2",), ("zz",)], workers=workers)
+            explainer.explain_all(answers=[("a2",), ("a3",), ("zz",)],
+                                  workers=workers,
+                                  on_chunk=lambda t, r: chunks.append(t))
         assert str(error.value) == \
             "('zz',) is not an answer on this database; use mode='why-no'"
+        assert chunks == []
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork transport is POSIX-only")
     @pytest.mark.parametrize("compute", [_explode_on_marked_answer,

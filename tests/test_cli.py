@@ -179,3 +179,12 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args([])
+
+    @pytest.mark.parametrize("command", [
+        ["explain-batch", "--data", "db.json", "--query", "q(x) :- R(x)"],
+        ["serve"]])
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_workers_must_be_a_positive_int(self, command, workers, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--workers", workers])
+        assert "--workers" in capsys.readouterr().err
