@@ -14,7 +14,10 @@ asserts that
 * the batched path beats the per-non-answer loop (≥ 2× by default).
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workload and only requires parity plus a
-nominal ≥ 1× speedup, so CI smoke stays timing-noise-proof.
+nominal ≥ 1× speedup, so CI smoke stays timing-noise-proof.  Each variant
+gets one untimed warm-up call and is then timed best-of-``REPEATS``, so
+neither side pays the process's first-call costs (imports, code-object
+warm-up) inside its measurement.
 
 Run with ``pytest benchmarks/bench_whyno_batch.py -s`` to see the table.
 """
@@ -36,6 +39,18 @@ N_MISSING = 20 if SMOKE else 40
 DOMAIN = 6 if SMOKE else 10
 CONTEXT = 300 if SMOKE else 3500
 MIN_SPEEDUP = 1.0 if SMOKE else 2.0
+REPEATS = 5 if SMOKE else 3
+
+
+def best_of(run, repeats: int = REPEATS):
+    """``(result, seconds)``: one untimed warm call, then the fastest run."""
+    result = run()
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return result, best
 
 
 def build_workload(n_missing: int = N_MISSING, domain: int = DOMAIN,
@@ -76,18 +91,20 @@ def test_batched_whyno_matches_and_beats_per_non_answer_loop(workload,
     db, domains, non_answers = workload
     assert len(non_answers) >= 20, "workload too small to be meaningful"
 
-    start = time.perf_counter()
-    explainer = WhyNoBatchExplainer(QUERY, db, non_answers=non_answers,
-                                    domains=domains)
-    batched = explainer.explain_all()
-    batched_seconds = time.perf_counter() - start
+    def run_batched():
+        explainer = WhyNoBatchExplainer(QUERY, db, non_answers=non_answers,
+                                        domains=domains)
+        return explainer, explainer.explain_all()
 
-    start = time.perf_counter()
-    per_answer = {
-        na: explain(QUERY, db, answer=na, mode="why-no", whyno_domains=domains)
-        for na in non_answers
-    }
-    loop_seconds = time.perf_counter() - start
+    def run_loop():
+        return {
+            na: explain(QUERY, db, answer=na, mode="why-no",
+                        whyno_domains=domains)
+            for na in non_answers
+        }
+
+    (explainer, batched), batched_seconds = best_of(run_batched)
+    per_answer, loop_seconds = best_of(run_loop)
 
     # Identical explanations, non-answer by non-answer, cause by cause.
     for na in non_answers:

@@ -182,7 +182,8 @@ class AbstractQuery:
             ]
             return sorted(mapped, key=repr) == sorted(target, key=repr)
 
-        def backtrack(index: int, mapping: Dict[str, str], used: Set[str]) -> bool:
+        def extend_mapping(index: int, mapping: Dict[str, str],
+                           used: Set[str]) -> bool:
             if index == len(own_vars):
                 return atoms_match(mapping)
             for candidate in other_vars:
@@ -190,13 +191,13 @@ class AbstractQuery:
                     continue
                 mapping[own_vars[index]] = candidate
                 used.add(candidate)
-                if backtrack(index + 1, mapping, used):
+                if extend_mapping(index + 1, mapping, used):
                     return True
                 used.discard(candidate)
                 del mapping[own_vars[index]]
             return False
 
-        return backtrack(0, {}, set())
+        return extend_mapping(0, {}, set())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbstractQuery):

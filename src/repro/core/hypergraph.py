@@ -80,7 +80,7 @@ def find_linear_order(variable_sets: Sequence[FrozenSet[str]]) -> Optional[List[
     UNTOUCHED, OPEN, CLOSED = 0, 1, 2
     all_variables = sorted({v for s in variable_sets for v in s})
 
-    def backtrack(order: List[int], remaining: FrozenSet[int],
+    def extend_order(order: List[int], remaining: FrozenSet[int],
                   state: Dict[str, int]) -> Optional[List[int]]:
         if not remaining:
             return order
@@ -94,13 +94,13 @@ def find_linear_order(variable_sets: Sequence[FrozenSet[str]]) -> Optional[List[
             for v in all_variables:
                 if state[v] == OPEN and v not in atom_vars:
                     new_state[v] = CLOSED
-            result = backtrack(order + [index], remaining - {index}, new_state)
+            result = extend_order(order + [index], remaining - {index}, new_state)
             if result is not None:
                 return result
         return None
 
     initial_state = {v: UNTOUCHED for v in all_variables}
-    return backtrack([], frozenset(range(n)), initial_state)
+    return extend_order([], frozenset(range(n)), initial_state)
 
 
 def is_linear(query: AbstractQuery) -> bool:

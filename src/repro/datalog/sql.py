@@ -101,7 +101,7 @@ class _RuleRenderer:
                 assert isinstance(term, Variable)
                 if term.name in self.variable_locations:
                     bound = self.variable_locations[term.name][1]
-                    self.conditions.append(f"{column} = {bound}")
+                    self.conditions.append(f"{column} IS {bound}")
                 else:
                     self.variable_locations[term.name] = (alias, column)
 
@@ -120,7 +120,7 @@ class _RuleRenderer:
                     raise DatalogError(
                         f"negated literal {literal!r} uses unbound variable {term.name!r}"
                     )
-                clauses.append(f"{column} = {bound[1]}")
+                clauses.append(f"{column} IS {bound[1]}")
         where = " AND ".join(clauses) if clauses else "1"
         return (f"NOT EXISTS (SELECT 1 FROM {table_name(atom)} AS {alias} "
                 f"WHERE {where})")

@@ -222,28 +222,14 @@ class BatchExplainer:
     def _run_full_pass(self) -> None:
         """One evaluation of the open query; group conjuncts by answer.
 
-        The memory evaluator runs the columnar valuation pass
-        (``valuations_blocks``): groups stay in block form and lineage
-        conjuncts materialise lazily, per answer, when an explanation or a
-        refresh first touches that answer (:meth:`_conjuncts_for`).  The
-        SQLite evaluator instead groups in the backend (it sorts by head
-        columns so each answer's rows arrive contiguously), and the groups
-        are consumed run by run off the streamed cursor.  Either way the
-        per-answer conjunct sets are identical
-        (:class:`~repro.lineage.boolean_expr.PositiveDNF` canonicalises
-        conjunct order).
+        Memory groups stay columnar blocks until an explanation or a
+        refresh first touches the answer (:meth:`_conjuncts_for`); SQLite
+        groups in the backend and returns conjunct lists.  Either way the
+        per-answer conjunct sets are identical.
         """
         if self._full_pass_done:
             return
-        grouped: Dict[Answer, ConjunctGroup] = {}
-        blocks_pass = getattr(self._evaluator, "valuations_blocks", None)
-        if blocks_pass is not None:
-            grouped = blocks_pass(self.query)
-        else:
-            for head, valuations in self._evaluator.grouped_valuations(
-                    self.query):
-                grouped.setdefault(head, []).extend(
-                    v.tuples() for v in valuations)
+        grouped = self._evaluator.valuations_blocks(self.query)
         self._conjuncts = grouped
         self._full_pass_done = True
         index = self.session.create_lineage_index()

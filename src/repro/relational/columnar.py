@@ -1,28 +1,25 @@
-"""Columnar valuation pass: the block-at-a-time twin of the backtracking join.
+"""Columnar valuation pass: the one valuation kernel of the memory backend.
 
 Every explanation mode funnels through one loop — enumerate the valuations
-of the open query, group them by head tuple (Sect. 3 of the paper makes
-valuations the unit of all downstream lineage work).  The backtracking
-evaluator of :mod:`repro.relational.evaluation` does that tuple-at-a-time:
-one Python :class:`~repro.relational.evaluation.Valuation` object, one
-assignment dict and one ``frozenset`` per valuation.  At 10⁵ valuations the
-per-object overhead dominates the pass.
-
-This module rebuilds the same pass around *columnar batches*:
+of a query, group them by head tuple (Sect. 3 of the paper makes valuations
+the unit of all downstream lineage work).  Tuple-at-a-time, that loop pays
+one Python object, dict and ``frozenset`` per valuation; this module runs
+it around *columnar batches* instead:
 
 * a :class:`ValueDictionary` maps every database value to a small integer
-  code, once per evaluator — joins then compare ints, never rich values;
+  code, once per evaluator — joins then compare ints, never rich values
+  (``None`` has a code like any value, so it joins with itself);
 * a :class:`ColumnStore` per ``(relation, status)`` keeps the dictionary-
   encoded value column of every queried position, aligned with an
   insertion-ordered row list, and is patched per tuple by
   ``QueryEvaluator.apply_changes`` (swap-delete keeps the columns dense) —
   an unpruned atom reuses the store's columns with **zero** copying;
-* :func:`run_pass` executes the existing greedy plan (``_build_plans`` /
-  ``_atom_order`` stay the planners) as block-at-a-time hash joins: the
+* :func:`run_pass` executes the greedy plan of
+  :class:`~repro.relational.evaluation.QueryEvaluator` (``_build_plans`` /
+  ``_atom_order`` are the planners) as block-at-a-time hash joins: the
   build side maps key codes to row ids, the probe emits two parallel
   selection vectors (``out_sel`` repeating probe rows, ``out_match`` naming
-  matched build rows), and gathers replace the shared prefix copying of the
-  backtracking enumeration;
+  matched build rows), and gathers extend the block;
 * head grouping buckets the joined block by head *codes* and emits one
   :class:`ValuationBlock` per answer — per-atom row-id vectors into shared
   candidate row lists, **not** per-valuation dicts.  Conjunct ``frozenset``
@@ -40,7 +37,7 @@ Everything downstream is canonical (``PositiveDNF`` is a frozenset of
 frozensets, answers are sorted by value), so block row order — which follows
 the per-process candidate-set iteration order — never reaches an
 explanation; the property suite ``tests/property/test_columnar_pass.py``
-pins columnar ≡ backtracking ≡ SQLite bit-exactly.
+pins the kernel ≡ SQLite bit-exactly.
 """
 
 from __future__ import annotations
@@ -157,48 +154,50 @@ class ColumnStore:
                  tuples: Iterable[Tuple]) -> None:
         self.dictionary = dictionary
         self.rows: List[Tuple] = list(tuples)
-        self._rowids: Dict[Tuple, int] = {
-            tup: index for index, tup in enumerate(self.rows)
-        }
+        self._rowids: Optional[Dict[Tuple, int]] = None
         self._columns: Dict[int, CodeColumn] = {}
+
+    def encode_rows(self, rows: Iterable[Tuple], position: int) -> CodeColumn:
+        """The codes of one position over ``rows``."""
+        encode = self.dictionary.encode
+        return [
+            encode(tup.values[position]) if position < len(tup.values) else -1
+            for tup in rows
+        ]
 
     def column(self, position: int) -> CodeColumn:
         """The code column of one position, built on first use."""
         column = self._columns.get(position)
         if column is None:
-            encode = self.dictionary.encode
-            column = [
-                encode(tup.values[position]) if position < len(tup.values)
-                else -1
-                for tup in self.rows
-            ]
-            self._columns[position] = column
+            column = self._columns[position] = \
+                self.encode_rows(self.rows, position)
         return column
 
-    def rowid(self, tup: Tuple) -> int:
-        return self._rowids[tup]
+    def _ids(self) -> Dict[Tuple, int]:
+        """Row id of every row, built on the first membership check."""
+        if self._rowids is None:
+            self._rowids = {tup: index for index, tup in enumerate(self.rows)}
+        return self._rowids
 
     def update_membership(self, tup: Tuple, present: bool) -> None:
         """Patch one tuple in or out, keeping every built column aligned."""
+        rowids = self._ids()
         if present:
-            if tup in self._rowids:
+            if tup in rowids:
                 return
-            self._rowids[tup] = len(self.rows)
+            rowids[tup] = len(self.rows)
             self.rows.append(tup)
-            encode = self.dictionary.encode
             for position, column in self._columns.items():
-                column.append(
-                    encode(tup.values[position])
-                    if position < len(tup.values) else -1)
+                column.extend(self.encode_rows((tup,), position))
         else:
-            index = self._rowids.pop(tup, None)
+            index = rowids.pop(tup, None)
             if index is None:
                 return
             last_index = len(self.rows) - 1
             if index != last_index:
                 last = self.rows[last_index]
                 self.rows[index] = last
-                self._rowids[last] = index
+                rowids[last] = index
                 for column in self._columns.values():
                     column[index] = column[last_index]
             self.rows.pop()
@@ -209,7 +208,7 @@ class ColumnStore:
         return len(self.rows)
 
     def __contains__(self, tup: Tuple) -> bool:
-        return tup in self._rowids
+        return tup in self._ids()
 
     def __repr__(self) -> str:
         return (f"ColumnStore({len(self.rows)} row(s), "
@@ -319,9 +318,8 @@ def _atom_columns(
     """Candidate rows and per-variable code columns of one atom.
 
     An unpruned atom (semi-join and constants removed nothing) reuses the
-    store's rows and columns without copying; a pruned one gathers the
-    surviving rows' codes through the store's row-id map — one hash lookup
-    per row, however many variable positions the atom has.
+    store's rows and columns without copying; a pruned one encodes only its
+    surviving rows, so a bound query never encodes a whole relation.
     """
     candidates = plan.candidates
     if len(candidates) == len(store):
@@ -330,12 +328,10 @@ def _atom_columns(
             for variable, position in plan.var_positions.items()
         }
     rows = list(candidates)
-    ids = [store.rowid(tup) for tup in rows]
-    columns: Dict[Variable, CodeColumn] = {}
-    for variable, position in plan.var_positions.items():
-        full = store.column(position)
-        columns[variable] = [full[index] for index in ids]
-    return rows, columns
+    return rows, {
+        variable: store.encode_rows(rows, position)
+        for variable, position in plan.var_positions.items()
+    }
 
 
 def _build_hash_table(
@@ -462,10 +458,11 @@ def run_pass(
     fixpoint); ``stores`` is the matching per-atom
     ``(relation, status)`` column store.  ``use_numpy`` forces the probe
     path (``None`` auto-detects; forcing ``True`` without NumPy raises).
+    Every run adds to the join and block counters of ``stats``; only the
+    caller knows whether it was a full pass (``columnar_passes``).
     """
     if use_numpy is True and _numpy is None:
         raise RuntimeError("use_numpy=True, but numpy is not importable")
-    stats.columnar_passes += 1
     atom_rows: List[Sequence[Tuple]] = []
     atom_cols: List[Dict[Variable, CodeColumn]] = []
     dictionary: Optional[ValueDictionary] = None

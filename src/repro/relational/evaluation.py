@@ -6,25 +6,19 @@ of the database.  Valuations drive everything downstream — the lineage of the
 query is the disjunction of one conjunct per valuation, and counterfactual
 checks simply ask whether any valuation survives in a modified instance.
 
-The evaluator is a backtracking join with per-relation hash indexes on
-individual positions.  Two statistics-free optimisations keep it fast on the
-batch-explanation workloads without changing the set of valuations produced:
+:class:`QueryEvaluator` plans each query and runs it on the one columnar
+kernel of :mod:`repro.relational.columnar` — the full pass, bound queries,
+delta residuals, ``holds`` and ``answers`` alike.  Planning is
+statistics-free and never changes the valuation set:
 
-* **greedy join ordering** — atoms are joined most-bound / smallest-candidate
-  first: the seed atom is the one with the fewest matching tuples (constants
-  already applied), and each subsequent atom is the connected one binding the
-  most variables, tie-broken by candidate count.  Selectivity is read off the
-  pattern and the actual candidate sets, never off collected statistics.
-* **semi-join pruning** — before enumeration, per-atom candidate sets are
-  reduced to a fixpoint: a tuple survives only if, for every variable it
-  shares with another atom, some candidate of that atom agrees on the value.
-  Pruning only discards tuples that cannot participate in any valuation, and
-  an empty candidate set terminates evaluation early.
-
-Complexity stays polynomial in the size of the database for a fixed query
-(all the data-complexity statements of the paper require exactly that) and
-the enumeration remains easy to audit — an important property for a
-reference implementation used as ground truth in tests.
+* **semi-join pruning** — per-atom candidate sets (constants and repeated
+  variables applied through per-position hash indexes) are reduced to a
+  fixpoint: a tuple survives only if, for every variable it shares with
+  another atom, some candidate of that atom agrees on the value; an empty
+  candidate set ends evaluation early;
+* **greedy join ordering** — seed with the fewest surviving candidates, then
+  add the connected atom binding the most variables, tie-broken by
+  candidate count.
 """
 
 from __future__ import annotations
@@ -106,13 +100,10 @@ class _RelationIndex:
         self._snapshot: Optional[FrozenSet[Tuple]] = None
 
     def snapshot(self) -> FrozenSet[Tuple]:
-        """A read-only view of the full tuple set, cached until a change.
+        """The full tuple set, frozen and shared until the next change.
 
-        Unconstrained candidate requests used to copy the whole set per
-        call; the frozen snapshot is shared by every caller (plans never
-        mutate their base set in place — :meth:`_AtomPlan.restrict` builds
-        a fresh set, i.e. copies lazily only on actual pruning) and is
-        invalidated by :meth:`update_membership`.
+        Plans never mutate their base set in place
+        (:meth:`_AtomPlan.restrict` builds a fresh one on actual pruning).
         """
         if self._snapshot is None:
             self._snapshot = frozenset(self.tuples)
@@ -174,7 +165,7 @@ class _RelationIndex:
 class _AtomPlan:
     """Per-atom join state: candidate tuples plus term structure."""
 
-    __slots__ = ("atom", "const_positions", "var_positions", "candidates", "index")
+    __slots__ = ("atom", "const_positions", "var_positions", "candidates")
 
     def __init__(self, atom: Atom, relation_index: _RelationIndex) -> None:
         self.atom = atom
@@ -192,21 +183,13 @@ class _AtomPlan:
                 else:
                     self.var_positions[term] = pos
         # Constants are resolved through the relation's position indexes, so
-        # a heavily-bound atom (e.g. the residual query of an incremental
-        # refresh, where delta values appear as constants) costs O(matching
-        # tuples) instead of a scan over the whole relation.
-        base: AbstractSet[Tuple]
-        if self.const_positions:
-            base = relation_index.candidates(self.const_positions)
-        else:
-            # Unconstrained base: share the relation's cached snapshot —
-            # restriction below copies lazily, only when it actually prunes.
-            base = relation_index.snapshot()
+        # a heavily-bound atom (a bound query, a delta residual) costs
+        # O(matching tuples); an unbound one shares the cached snapshot.
+        base = relation_index.candidates(self.const_positions)
         if repeats:
             base = {tup for tup in base
                     if all(tup[a] == tup[b] for a, b in repeats)}
         self.candidates: AbstractSet[Tuple] = base
-        self.index: Optional[_RelationIndex] = None
 
     def values_of(self, variable: Variable) -> Set[Any]:
         position = self.var_positions[variable]
@@ -226,11 +209,6 @@ class _AtomPlan:
             self.candidates = restricted
         return removed
 
-    def build_index(self) -> _RelationIndex:
-        if self.index is None:
-            self.index = _RelationIndex(frozenset(self.candidates))
-        return self.index
-
 
 class QueryEvaluator:
     """Evaluates conjunctive queries over a fixed database instance.
@@ -247,17 +225,12 @@ class QueryEvaluator:
         tuples and atoms annotated ``Rˣ`` only match exogenous tuples — the
         semantics of the refined queries used in Sect. 3.  Unannotated atoms
         always match every tuple of their relation.
-    semijoin:
-        When ``True`` (default), per-atom candidate sets are reduced to a
-        semi-join fixpoint before enumeration.  Disable to get the plain
-        backtracking join (useful as a differential-testing baseline).
     """
 
-    def __init__(self, database: Database, respect_annotations: bool = True,
-                 semijoin: bool = True) -> None:
+    def __init__(self, database: Database,
+                 respect_annotations: bool = True) -> None:
         self.database = database
         self.respect_annotations = respect_annotations
-        self.semijoin = semijoin
         self._indexes: Dict[TypingTuple[str, Optional[bool]], _RelationIndex] = {}
         #: Per-phase counters of the valuation pass (cumulative, cheap).
         self.stats = PassStats()
@@ -337,8 +310,6 @@ class QueryEvaluator:
         self.stats.plans_built += len(plans)
         if any(not plan.candidates for plan in plans):
             return None
-        if not self.semijoin:
-            return plans
         # variable -> the plans whose atom mentions it
         occurrences: Dict[Variable, List[_AtomPlan]] = {}
         for plan in plans:
@@ -355,7 +326,6 @@ class QueryEvaluator:
                     removed = plan.restrict(variable, allowed)
                     if removed:
                         self.stats.rows_pruned += removed
-                        plan.index = None
                         changed = True
                     if not plan.candidates:
                         return None
@@ -391,76 +361,14 @@ class QueryEvaluator:
         return order
 
     # ------------------------------------------------------------------ #
-    def valuations(self, query: ConjunctiveQuery) -> Iterator[Valuation]:
-        """Yield every valuation of ``query`` over the database."""
-        plans = self._build_plans(query)
-        if plans is None:
-            return
-        order = self._atom_order(plans)
-        atoms = query.atoms
-        assignment: Dict[Variable, Any] = {}
-        matched: Dict[int, Tuple] = {}
+    def _blocks(self, query: ConjunctiveQuery,
+                use_numpy: Optional[bool] = None,
+                ) -> Dict[Answer, ValuationBlock]:
+        """Plan ``query`` and run the columnar kernel: one block per answer.
 
-        def backtrack(depth: int) -> Iterator[Valuation]:
-            if depth == len(order):
-                yield Valuation(assignment, [matched[i] for i in range(len(atoms))])
-                return
-            atom_index = order[depth]
-            plan = plans[atom_index]
-            atom = plan.atom
-            constraints: List[TypingTuple[int, Any]] = []
-            unbound: List[TypingTuple[int, Variable]] = []
-            for variable, pos in plan.var_positions.items():
-                if variable in assignment:
-                    constraints.append((pos, assignment[variable]))
-                else:
-                    unbound.append((pos, variable))
-            for candidate in plan.build_index().candidates(constraints):
-                # Bind the unbound variables; positions sharing a variable
-                # must agree on the value.
-                local: Dict[Variable, Any] = {}
-                consistent = True
-                for pos, var in unbound:
-                    value = candidate[pos]
-                    if var in local and local[var] != value:
-                        consistent = False
-                        break
-                    local[var] = value
-                if not consistent:
-                    continue
-                assignment.update(local)
-                matched[atom_index] = candidate
-                yield from backtrack(depth + 1)
-                del matched[atom_index]
-                for var in local:
-                    assignment.pop(var, None)
-
-        yield from backtrack(0)
-
-    def valuations_blocks(
-            self, query: ConjunctiveQuery,
-            use_numpy: Optional[bool] = None,
-    ) -> Dict[Answer, ValuationBlock]:
-        """The columnar valuation pass: one :class:`ValuationBlock` per answer.
-
-        Same planner as :meth:`valuations` (``_build_plans`` applies
-        constants, repeats and the semi-join fixpoint; ``_atom_order`` picks
-        the greedy join order), but execution is block-at-a-time — hash
-        joins over dictionary-encoded columns, head grouping on codes.  The
-        valuation *set* is identical to the backtracking enumeration; only
-        the representation differs, and blocks materialise tuple-level
-        structures lazily (:meth:`ValuationBlock.conjuncts`).
-
-        ``use_numpy`` forces the probe path: ``None`` (default) uses the
-        vectorised probe when NumPy is importable, ``False`` pins the pure
-        path (differential-testing baseline), ``True`` requires NumPy.
-
-        :attr:`stats` is reset at the start of every call, so the counters
-        always describe the most recent pass (plus any incremental residual
-        work done since) — what a resident session's ``engine_stats()``
-        should report.
+        Block keys are the head tuples, constants included, and ``()`` for
+        a Boolean query.  Counters accumulate into :attr:`stats`.
         """
-        self.stats.reset()
         plans = self._build_plans(query)
         if plans is None:
             return {}
@@ -469,58 +377,70 @@ class QueryEvaluator:
         return run_pass(query, plans, order, stores, self.stats,
                         use_numpy=use_numpy)
 
+    def _materialise(self, query: ConjunctiveQuery,
+                     block: ValuationBlock) -> List[Valuation]:
+        """One block's valuations as tuple-at-a-time :class:`Valuation`s."""
+        valuations: List[Valuation] = []
+        for atom_tuples in block.atom_tuples():
+            assignment: Dict[Variable, Any] = {}
+            for atom, tup in zip(query.atoms, atom_tuples):
+                for position, term in enumerate(atom.terms):
+                    if isinstance(term, Variable):
+                        assignment[term] = tup.values[position]
+            valuations.append(Valuation(assignment, atom_tuples))
+        self.stats.adapter_valuations += len(valuations)
+        return valuations
+
+    def valuations(self, query: ConjunctiveQuery) -> Iterator[Valuation]:
+        """Yield every valuation of ``query``, block by block off the kernel."""
+        for block in self._blocks(query).values():
+            yield from self._materialise(query, block)
+
+    def valuations_blocks(
+            self, query: ConjunctiveQuery,
+            use_numpy: Optional[bool] = None,
+    ) -> Dict[Answer, ValuationBlock]:
+        """The full pass: one lazy :class:`ValuationBlock` per answer.
+
+        ``use_numpy`` forces the probe path: ``None`` (default) uses the
+        vectorised probe when NumPy is importable, ``False`` pins the pure
+        path (differential-testing baseline), ``True`` requires NumPy.
+
+        :attr:`stats` is reset first, so the counters describe the most
+        recent full pass plus the residual kernel runs since (delta
+        semi-joins, lazy bound queries) — what ``engine_stats()`` reports.
+        """
+        self.stats.reset()
+        self.stats.columnar_passes += 1
+        return self._blocks(query, use_numpy=use_numpy)
+
     def grouped_valuations(
             self, query: ConjunctiveQuery,
     ) -> Iterator[TypingTuple[Answer, List[Valuation]]]:
-        """Yield ``(answer, [valuations])`` off the columnar pass.
-
-        The thin block→:class:`Valuation` adapter: answers stream in
-        deterministic (sorted) order and each block is materialised into
-        tuple-at-a-time :class:`Valuation` objects, so callers keep the
-        exact API (and ordering guarantees) of the SQLite backend's
-        ``grouped_valuations`` while the pass itself runs columnar.
+        """Yield ``(answer, [valuations])`` off the full pass, heads sorted —
+        the API and ordering of the SQLite backend's ``grouped_valuations``.
         """
         blocks = self.valuations_blocks(query)
         for head in sorted(blocks, key=value_sort_key):
-            block = blocks[head]
-            valuations: List[Valuation] = []
-            for atom_tuples in block.atom_tuples():
-                assignment: Dict[Variable, Any] = {}
-                for atom, tup in zip(query.atoms, atom_tuples):
-                    for position, term in enumerate(atom.terms):
-                        if isinstance(term, Variable):
-                            assignment[term] = tup.values[position]
-                valuations.append(Valuation(assignment, atom_tuples))
-            self.stats.adapter_valuations += len(valuations)
-            yield head, valuations
+            yield head, self._materialise(query, blocks[head])
 
     def holds(self, query: ConjunctiveQuery) -> bool:
         """``D ⊨ q`` for a Boolean query: does at least one valuation exist?"""
-        for _ in self.valuations(query):
-            return True
-        return False
+        return bool(self._blocks(query))
 
     def answers(self, query: ConjunctiveQuery) -> FrozenSet[TypingTuple[Any, ...]]:
-        """The answer relation of a non-Boolean query (set of head tuples)."""
-        results: Set[TypingTuple[Any, ...]] = set()
-        for valuation in self.valuations(query):
-            row = []
-            for term in query.head:
-                if isinstance(term, Variable):
-                    row.append(valuation.assignment[term])
-                else:
-                    assert isinstance(term, Constant)
-                    row.append(term.value)
-            results.add(tuple(row))
-        return frozenset(results)
+        """The answer relation of ``query`` (set of head tuples).
+
+        A Boolean query answers ``{()}`` when it holds and ``∅`` otherwise.
+        """
+        return frozenset(self._blocks(query))
 
 
 # --------------------------------------------------------------------------- #
 # module-level convenience wrappers
 # --------------------------------------------------------------------------- #
 def greedy_atom_order(query: ConjunctiveQuery, database: Database,
-                      respect_annotations: bool = True,
-                      semijoin: bool = True) -> List[int]:
+                      respect_annotations: bool = True) -> List[int]:
     """The greedy join order the evaluator would use, as query-atom indices.
 
     Exposed for inspection and testing: the order starts at the atom with the
@@ -529,8 +449,7 @@ def greedy_atom_order(query: ConjunctiveQuery, database: Database,
     Returns the identity order when some atom has no candidates at all (the
     query is unsatisfiable and enumeration terminates before joining).
     """
-    evaluator = QueryEvaluator(database, respect_annotations=respect_annotations,
-                               semijoin=semijoin)
+    evaluator = QueryEvaluator(database, respect_annotations=respect_annotations)
     plans = evaluator._build_plans(query)
     if plans is None:
         return list(range(len(query.atoms)))
@@ -538,11 +457,9 @@ def greedy_atom_order(query: ConjunctiveQuery, database: Database,
 
 
 def find_valuations(query: ConjunctiveQuery, database: Database,
-                    respect_annotations: bool = True,
-                    semijoin: bool = True) -> List[Valuation]:
+                    respect_annotations: bool = True) -> List[Valuation]:
     """All valuations of ``query`` over ``database`` as a list."""
-    evaluator = QueryEvaluator(database, respect_annotations=respect_annotations,
-                               semijoin=semijoin)
+    evaluator = QueryEvaluator(database, respect_annotations=respect_annotations)
     return list(evaluator.valuations(query))
 
 
@@ -556,10 +473,8 @@ def evaluate_boolean(query: ConjunctiveQuery, database: Database,
 def evaluate(query: ConjunctiveQuery, database: Database,
              respect_annotations: bool = True) -> FrozenSet[TypingTuple[Any, ...]]:
     """Answer set of a (possibly non-Boolean) query."""
-    evaluator = QueryEvaluator(database, respect_annotations=respect_annotations)
-    if query.is_boolean:
-        return frozenset({()} if evaluator.holds(query) else set())
-    return evaluator.answers(query)
+    return QueryEvaluator(database,
+                          respect_annotations=respect_annotations).answers(query)
 
 
 def is_answer(query: ConjunctiveQuery, database: Database,

@@ -7,8 +7,8 @@ rebuild.  A :class:`BackendSession` owns one loaded instance and exposes the
 three operations the batch engines need:
 
 * :attr:`~BackendSession.evaluator` — a query evaluator over the loaded
-  instance (``valuations`` / ``holds`` / ``answers``; the SQLite one also
-  streams ``grouped_valuations``);
+  instance, with one interface on both backends (``valuations_blocks``
+  for the full pass, ``valuations`` / ``holds`` / ``answers`` per query);
 * :meth:`~BackendSession.snapshot` — the reusable loaded form (the
   :class:`~repro.relational.sqlite_backend.SQLiteDatabase` for SQLite, the
   :class:`~repro.relational.database.Database` itself for memory), so

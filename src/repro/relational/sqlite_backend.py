@@ -217,7 +217,9 @@ class _ValuationSQL:
                 else:
                     assert isinstance(term, Variable)
                     if term in locations:
-                        conditions.append(f"{column} = {locations[term][0]}")
+                        # IS, not =: None is an ordinary value that joins
+                        # with itself, as in the memory evaluator.
+                        conditions.append(f"{column} IS {locations[term][0]}")
                     else:
                         locations[term] = (column, offset + position)
             offset += atom.arity
@@ -300,7 +302,7 @@ def valuation_sql(query: ConjunctiveQuery, respect_annotations: bool = True
     >>> print(valuation_sql(parse_query("q(x) :- R(x, y), S(y)")))
     SELECT t0.c0, t0.c1, t1.c0
       FROM "R" AS t0, "S" AS t1
-      WHERE t1.c0 = t0.c1
+      WHERE t1.c0 IS t0.c1
       ORDER BY 1, 2, 3
     """
     return _ValuationSQL(query, respect_annotations).sql
@@ -892,6 +894,17 @@ class SQLiteEvaluator:
             group.append(rendered.decode(row))
         if current_head is not None:
             yield current_head, group
+
+    def valuations_blocks(
+        self, query: ConjunctiveQuery
+    ) -> Dict[TypingTuple[Any, ...], List[FrozenSet[Tuple]]]:
+        """The full pass as ``{answer: [conjuncts]}`` — the batch engines'
+        group shape — off the head-sorted :meth:`grouped_valuations` cursor.
+        """
+        return {
+            head: [valuation.tuples() for valuation in group]
+            for head, group in self.grouped_valuations(query)
+        }
 
     def holds(self, query: ConjunctiveQuery) -> bool:
         """``D ⊨ q`` for a Boolean query: unordered ``SELECT 1 ... LIMIT 1``."""

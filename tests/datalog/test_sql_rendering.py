@@ -27,7 +27,7 @@ class TestRuleRendering:
         assert "R AS t0" in sql and "S AS t1" in sql
         assert "= 'a3'" in sql
         # join condition between R.c1 and S.c0 (shared variable y)
-        assert "t1.c0 = t0.c1" in sql or "t0.c1 = t1.c0" in sql
+        assert "t1.c0 IS t0.c1" in sql or "t0.c1 IS t1.c0" in sql
 
     def test_annotations_select_partition_views(self):
         sql = rule_to_sql(parse_rule("Out(y) :- R^x(x, y), S^n(y)"))
@@ -115,6 +115,21 @@ class TestLiteralRendering:
         connection.execute("INSERT INTO R VALUES ('a')")
         connection.execute("INSERT INTO S VALUES (NULL)")
         # S holds a NULL, so NOT EXISTS (... IS NULL) filters everything out.
+        assert connection.execute(sql).fetchall() == []
+
+    def test_null_joins_null(self):
+        """Shared variables compare with IS: NULL joins NULL, as in memory."""
+        rule = parse_rule("Out(x) :- R(x, y), S(y), not T(y)")
+        sql = rule_to_sql(rule)
+        assert "t1.c0 IS t0.c1" in sql and "n.c0 IS t0.c1" in sql
+        connection = sqlite3.connect(":memory:")
+        for name, columns in (("R", "c0, c1"), ("S", "c0"), ("T", "c0")):
+            connection.execute(f"CREATE TABLE {name} ({columns})")
+        connection.executemany("INSERT INTO R VALUES (?, ?)",
+                               [("a", None), ("b", "c")])
+        connection.execute("INSERT INTO S VALUES (NULL)")
+        assert connection.execute(sql).fetchall() == [("a",)]
+        connection.execute("INSERT INTO T VALUES (NULL)")
         assert connection.execute(sql).fetchall() == []
 
     def test_none_in_head_renders_as_null(self):

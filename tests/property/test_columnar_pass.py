@@ -1,17 +1,18 @@
-"""Columnar ≡ backtracking ≡ SQLite: the valuation-pass equivalence contract.
+"""Kernel ≡ SQLite: the valuation-pass equivalence contract.
 
-The columnar pass (`relational/columnar.py`) is a pure re-representation of
-the same valuation set the backtracking join enumerates — same planner, same
-semantics, different execution.  This suite pins that equivalence across the
-randomized space:
+The columnar kernel (`relational/columnar.py`) is the memory backend's only
+evaluator: the full pass, bound queries, delta residuals, ``holds`` and
+``answers`` all run on it.  SQLite's SQL-rendered pass is the remaining
+independent implementation, so this suite pins the two against each other
+across the randomized space:
 
-* for random instances and random conjunctive queries (self-joins, repeated
-  variables, constants, ``^n``/``^x`` annotations), the blocks of
-  ``valuations_blocks`` materialise into exactly the conjunct multiset of
-  the backtracking ``valuations`` — with annotations respected and ignored,
-  with the semi-join fixpoint on and off, and on the NumPy and pure-python
-  probe paths alike;
-* the SQLite backend's SQL-grouped pass agrees with both;
+* for random instances (``None`` values included — ``None`` is an ordinary
+  value that joins with itself) and random conjunctive queries (self-joins,
+  repeated variables, constants, ``^n``/``^x`` annotations), the blocks of
+  ``valuations_blocks``, the materialised ``valuations()``, ``holds`` and
+  ``answers`` equal the SQLite backend's — with annotations respected and
+  ignored;
+* the NumPy and pure-python probe paths produce the same blocks;
 * a *live* evaluator patched through ``apply_changes`` produces the same
   blocks as a fresh evaluator on the mutated instance (the
   incremental-refresh path must keep the dictionary encodings exact);
@@ -26,22 +27,28 @@ import pytest
 
 from repro.engine import BatchExplainer
 from repro.relational import Database, parse_query
+from repro.relational.columnar import materialize_conjuncts
 from repro.relational.evaluation import QueryEvaluator
 from repro.relational.query import Variable
 from repro.relational.session import open_session
+from repro.relational.sqlite_backend import SQLiteEvaluator
 from repro.relational.tuples import value_sort_key
 
 from test_incremental import random_delta, ranking
 
 
+def random_value(rng: random.Random):
+    """A value from a small domain; about one draw in eight is ``None``."""
+    return None if rng.random() < 0.125 else f"a{rng.randint(0, 4)}"
+
+
 def random_instance(rng: random.Random) -> Database:
     db = Database()
     for _ in range(rng.randint(6, 18)):
-        db.add_fact("R", f"a{rng.randint(0, 4)}", f"a{rng.randint(0, 4)}",
+        db.add_fact("R", random_value(rng), random_value(rng),
                     endogenous=rng.random() < 0.7)
     for _ in range(rng.randint(3, 9)):
-        db.add_fact("S", f"a{rng.randint(0, 4)}",
-                    endogenous=rng.random() < 0.7)
+        db.add_fact("S", random_value(rng), endogenous=rng.random() < 0.7)
     return db
 
 
@@ -66,7 +73,8 @@ def canonical(conjuncts):
     return sorted(sorted(t.sort_key() for t in c) for c in conjuncts)
 
 
-def grouped_backtracking(evaluator: QueryEvaluator, query):
+def grouped_valuations(evaluator, query):
+    """``valuations()`` grouped by head tuple, in canonical form."""
     grouped = {}
     for valuation in evaluator.valuations(query):
         head = tuple(
@@ -78,28 +86,32 @@ def grouped_backtracking(evaluator: QueryEvaluator, query):
     return {head: canonical(group) for head, group in grouped.items()}
 
 
-def grouped_blocks(evaluator: QueryEvaluator, query, use_numpy=None):
-    blocks = evaluator.valuations_blocks(query, use_numpy=use_numpy)
-    return {head: canonical(block.conjuncts())
-            for head, block in blocks.items()}
+def grouped_blocks(evaluator, query, use_numpy=None):
+    kwargs = {} if use_numpy is None else {"use_numpy": use_numpy}
+    blocks = evaluator.valuations_blocks(query, **kwargs)
+    return {head: canonical(materialize_conjuncts(group))
+            for head, group in blocks.items()}
 
 
-class TestBlocksEqualBacktracking:
+class TestKernelEqualsSQLite:
     @pytest.mark.parametrize("respect_annotations", [True, False])
-    @pytest.mark.parametrize("semijoin", [True, False])
-    @pytest.mark.parametrize("seed", range(10))
-    def test_same_valuation_set(self, seed, semijoin, respect_annotations):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_valuation_set(self, seed, respect_annotations):
         rng = random.Random(4100 + seed)
         db = random_instance(rng)
+        kernel = QueryEvaluator(db, respect_annotations=respect_annotations)
+        sql = SQLiteEvaluator(db, respect_annotations=respect_annotations)
         for _ in range(3):
             query = random_query(rng)
-            baseline = grouped_backtracking(
-                QueryEvaluator(db, respect_annotations=respect_annotations,
-                               semijoin=semijoin), query)
-            columnar = grouped_blocks(
-                QueryEvaluator(db, respect_annotations=respect_annotations,
-                               semijoin=semijoin), query)
-            assert columnar == baseline
+            expected = grouped_blocks(sql, query)
+            assert grouped_blocks(kernel, query) == expected
+            assert grouped_valuations(kernel, query) == expected
+            assert grouped_valuations(sql, query) == expected
+            assert kernel.answers(query) == sql.answers(query) \
+                == frozenset(expected)
+            boolean = query.as_boolean()
+            assert kernel.holds(boolean) == sql.holds(boolean) \
+                == bool(expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_numpy_equals_pure(self, seed):
@@ -119,13 +131,13 @@ class TestBlocksEqualBacktracking:
         """The block→Valuation adapter keeps the tuple-at-a-time API exact.
 
         Heads arrive sorted, assignments are full (every body variable
-        bound) and the per-group conjuncts equal the block's own.
+        bound) and the per-group conjuncts equal SQLite's.
         """
         rng = random.Random(4400 + seed)
         db = random_instance(rng)
         query = random_query(rng)
         evaluator = QueryEvaluator(db)
-        baseline = grouped_backtracking(QueryEvaluator(db), query)
+        baseline = grouped_valuations(SQLiteEvaluator(db), query)
         seen_heads = []
         for head, valuations in evaluator.grouped_valuations(query):
             seen_heads.append(head)
@@ -183,10 +195,11 @@ class TestRefreshKeepsEncodingsExact:
             live.apply_changes(changed)
             assert grouped_blocks(live, query) \
                 == grouped_blocks(QueryEvaluator(db), query)
-            # The backtracking path of the very same patched evaluator
-            # agrees too (shared relation indexes stay in sync with stores).
-            assert grouped_backtracking(live, query) \
-                == grouped_blocks(live, query)
+            # Residual queries on the patched evaluator (plans read the
+            # relation indexes, the kernel reads the stores) agree with
+            # SQLite on the mutated instance — the two stay in sync.
+            assert grouped_valuations(live, query) \
+                == grouped_valuations(SQLiteEvaluator(db), query)
 
 
 class TestExplanationsBitIdentical:

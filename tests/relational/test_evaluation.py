@@ -133,18 +133,6 @@ class TestGreedyOrderAndSemijoin:
         q = parse_query("q :- R(x, 'zz'), S(x)")
         assert greedy_atom_order(q, rs_db) == [0, 1]
 
-    def test_semijoin_toggle_preserves_valuations(self, rs_db):
-        for text in ["q :- R(x, y), S(y)", "q :- R(x, y), R(y, z)",
-                     "q :- R(x, x), S(x)"]:
-            q = parse_query(text)
-            with_sj = {(v.tuples(), tuple(sorted((k.name, val) for k, val
-                        in v.assignment.items())))
-                       for v in find_valuations(q, rs_db, semijoin=True)}
-            without = {(v.tuples(), tuple(sorted((k.name, val) for k, val
-                        in v.assignment.items())))
-                       for v in find_valuations(q, rs_db, semijoin=False)}
-            assert with_sj == without, text
-
     def test_semijoin_prunes_dangling_tuples(self):
         db = database_from_dict({
             "R": [(i, i + 1) for i in range(10)],

@@ -159,7 +159,7 @@ class TestValuationPass:
         # Every per-atom column, not just the DISTINCT head projection.
         assert "t0.c0, t0.c1, t1.c0" in sql
         assert "DISTINCT" not in sql
-        assert "t1.c0 = t0.c1" in sql
+        assert "t1.c0 IS t0.c1" in sql
 
     def test_matches_memory_on_example22(self, example22):
         assert_same_valuations(parse_query("q(x) :- R(x, y), S(y)"), example22)
@@ -202,6 +202,18 @@ class TestValuationPass:
         assert evaluator.answers(query) == frozenset({("a",)})
         [valuation] = list(evaluator.valuations(query))
         assert valuation.atom_tuples == (Tuple("R", (None, "a")),)
+
+    def test_null_joins_null_on_both_backends(self):
+        """``None`` is an ordinary value: it joins with itself in SQL too."""
+        db = Database()
+        db.add_fact("R", "a", None)
+        db.add_fact("R", "b", "c")
+        db.add_fact("S", None)
+        query = parse_query("q(x) :- R(x, y), S(y)")
+        assert SQLiteEvaluator(db).answers(query) == frozenset({("a",)})
+        assert QueryEvaluator(db).answers(query) == frozenset({("a",)})
+        assert_same_valuations(query, db)
+        assert SQLiteEvaluator(db).holds(parse_query("q :- R(x, y), S(y)"))
 
     def test_holds_and_answers_match_memory(self, example22):
         query = parse_query("q(x) :- R(x, y), S(y)")
