@@ -18,8 +18,7 @@ answer" — workloads:
 * :class:`~repro.engine.lineage_index.LineageIndex` — the tuple → answers
   inverted index both engines maintain alongside their valuation groups, so
   ``refresh`` / ``refresh_all`` probe the delta's neighbourhood instead of
-  sweeping every answer (the SQLite twin lives in
-  :mod:`repro.relational.sqlite_backend`).
+  sweeping every answer (one Python index for both backends).
 
 The single-answer :func:`repro.core.api.explain` is a thin wrapper over these
 paths (Why-So and Why-No alike), so both entry points stay bit-compatible by

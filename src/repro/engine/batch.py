@@ -75,6 +75,7 @@ from ..relational.tuples import Tuple, value_sort_key
 from ._pool import FanOutResult, FanOutSpec, OnChunk, fan_out, \
     resolve_transport
 from .cache import CacheShard, LineageCache
+from .lineage_index import LineageIndex
 
 Answer = TypingTuple[Any, ...]
 
@@ -197,9 +198,8 @@ class BatchExplainer:
         # pass, or per answer by bound-query evaluation.
         self._conjuncts: Dict[Answer, ConjunctGroup] = {}
         # tuple -> answers whose group mentions it; built with the full pass
-        # (through the session, so it lives where the backend's data lives)
         # and kept in lockstep with ``_conjuncts`` by the delta path.
-        self._index: Optional[Any] = None
+        self._index: Optional[LineageIndex] = None
         self._full_pass_done = False
         # bound query -> FlowEngine (or NotLinearError for self-joins),
         # sharing valuations and layers across that answer's tuples.
@@ -232,12 +232,12 @@ class BatchExplainer:
         grouped = self._evaluator.valuations_blocks(self.query)
         self._conjuncts = grouped
         self._full_pass_done = True
-        index = self.session.create_lineage_index()
+        index = LineageIndex()
         index.rebuild(grouped)
         self._index = index
 
     @property
-    def lineage_index(self) -> Optional[Any]:
+    def lineage_index(self) -> Optional[LineageIndex]:
         """The lineage inverted index (``None`` until the full pass ran)."""
         return self._index
 

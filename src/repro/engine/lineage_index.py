@@ -9,23 +9,16 @@ of the instance that appears in some valuation group, the set of answers
 instance) whose lineage mentions it.  Refresh step 1 then becomes
 O(k · fanout) postings probes for a k-tuple delta.
 
-Two interchangeable implementations share the interface:
-
-* :class:`LineageIndex` (this module) — plain dict postings for the
-  in-memory backend;
-* :class:`repro.relational.sqlite_backend.SQLiteLineageIndex` — per-relation
-  ``__lineage_index_<rel>(c0.., answer_id)`` tables living inside the loaded
-  SQLite snapshot, with covering indexes, so a SQLite-backed refresh probes
-  the database instead of shipping the instance to Python.
-
-Both are created through the backend seam
-(:meth:`repro.relational.session.BackendSession.create_lineage_index`), are
-rebuilt by :meth:`rebuild` during the first full pass, and are maintained
-incrementally by the delta path: after a refresh re-derives an answer's
-group, the engine calls :meth:`index_answer` (or :meth:`drop_answer`) for
-exactly the dirty answers.  Fan-out workers never mutate valuation groups —
-they only *read* the parent's groups and send back cache entries — so the
-answer postings need no worker merge; the per-tuple key index inside
+One implementation serves both backends.  The index is built from the
+engine's valuation groups, and those are Python data whichever backend ran
+the pass (the SQLite evaluator returns ``{answer: [conjunct, ...]}``), so
+the postings live in Python dicts next to them.  The index is rebuilt by
+:meth:`rebuild` during the first full pass and maintained incrementally by
+the delta path: after a refresh re-derives an answer's group, the engine
+calls :meth:`index_answer` (or :meth:`drop_answer`) for exactly the dirty
+answers.  Fan-out workers never mutate valuation groups — they only *read*
+the parent's groups and send back cache entries — so the answer postings
+need no worker merge; the per-tuple key index inside
 :class:`repro.engine.cache.LineageCache` indexes adopted worker entries as
 part of ``merge_entries``.
 
@@ -58,7 +51,7 @@ Answer = Any
 
 
 class LineageIndex:
-    """In-memory postings map for the memory backend.
+    """In-memory postings map, shared by the memory and SQLite backends.
 
     ``_postings`` maps each tuple to the answers whose current valuation
     groups mention it; ``_forward`` keeps the reverse (answer → tuples of
@@ -165,11 +158,10 @@ class LineageIndex:
     # introspection (tests, docs)
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[Tuple, FrozenSet[Answer]]:
-        """``{tuple: frozenset(answers)}`` — backend-independent contents.
+        """``{tuple: frozenset(answers)}`` — the postings, for comparison.
 
-        Both implementations return the same shape, so tests can assert
-        that a memory-backed and a SQLite-backed refresh maintain identical
-        indexes.
+        Tests compare snapshots to assert that a memory-backed and a
+        SQLite-backed refresh maintain identical indexes.
         """
         return {tup: frozenset(answers)
                 for tup, answers in self._postings.items()}

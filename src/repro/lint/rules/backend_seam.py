@@ -6,13 +6,12 @@ The whole point of :class:`repro.relational.session.BackendSession` is that
 backend slot in without touching the explanation path.  Two checks:
 
 * ``import sqlite3`` (or ``from sqlite3 import ...``) is allowed only in
-  ``relational/sqlite_backend.py`` and its lineage-index twin
-  ``relational/sqlite_lineage_index.py``;
+  ``relational/sqlite_backend.py``;
 * no module under ``engine/`` may import ``relational.sqlite_backend`` (by
   any spelling) or pull a concrete session/backend class
-  (``SQLiteDatabase``, ``SQLiteEvaluator``, ``SQLiteLineageIndex``,
-  ``SQLiteSession``, ``MemorySession``) — only the abstract
-  ``BackendSession`` and the ``open_session`` factory cross the seam;
+  (``SQLiteDatabase``, ``SQLiteEvaluator``, ``SQLiteSession``,
+  ``MemorySession``) — only the abstract ``BackendSession`` and the
+  ``open_session`` factory cross the seam;
 * no module under ``server/`` may import repro internals beyond the public
   surface it serves: ``core``/``core.api``/``core.definitions``,
   ``exceptions`` and the relational seam (``relational`` and its
@@ -31,14 +30,12 @@ from typing import Iterator
 from ..framework import ModuleContext, Finding, Rule
 
 #: The only modules allowed to talk to sqlite3 directly.
-_SQLITE3_HOMES = ("relational/sqlite_backend.py",
-                  "relational/sqlite_lineage_index.py")
+_SQLITE3_HOMES = ("relational/sqlite_backend.py",)
 
 #: Concrete classes engine/ modules must not import — they are reachable
 #: only through the ``BackendSession`` seam (``open_session`` dispatch).
 _CONCRETE_BACKEND_NAMES = frozenset({
-    "SQLiteDatabase", "SQLiteEvaluator", "SQLiteLineageIndex",
-    "SQLiteSession", "MemorySession",
+    "SQLiteDatabase", "SQLiteEvaluator", "SQLiteSession", "MemorySession",
 })
 
 #: The only repro-internal modules server/ may import (plus anything under

@@ -20,7 +20,11 @@ three operations the batch engines need:
 
 Both backends implement the same interface, so the delta-aware engines
 (:meth:`repro.engine.BatchExplainer.refresh`,
-:meth:`repro.engine.WhyNoBatchExplainer.refresh`) are backend-agnostic.
+:meth:`repro.engine.WhyNoBatchExplainer.refresh`) are backend-agnostic.  The
+lineage inverted index those refreshes probe is not part of the seam: the
+valuation groups it is built from are Python data on both backends, so the
+engines keep one :class:`~repro.engine.lineage_index.LineageIndex` of their
+own whichever session they run on.
 """
 
 from __future__ import annotations
@@ -97,18 +101,6 @@ class BackendSession:
         True
         """
         return self.database
-
-    def create_lineage_index(self) -> Any:
-        """A lineage inverted index living where this backend's data lives.
-
-        The engines call this once per full pass and keep the index in
-        lockstep with their valuation groups (see
-        :mod:`repro.engine.lineage_index`): the memory backend gets plain
-        dict postings, the SQLite backend gets ``__lineage_index_<rel>``
-        tables inside the loaded snapshot so refresh probes run as indexed
-        SQL instead of shipping the instance to Python.
-        """
-        raise NotImplementedError
 
     def batch_whyno_candidates(
             self, query: ConjunctiveQuery,
@@ -241,11 +233,6 @@ class MemorySession(BackendSession):
     def snapshot(self) -> Database:
         return self.database
 
-    def create_lineage_index(self) -> Any:
-        from ..engine.lineage_index import LineageIndex
-
-        return LineageIndex()
-
     def batch_whyno_candidates(
             self, query: ConjunctiveQuery,
             non_answers: Sequence[Answer],
@@ -317,11 +304,6 @@ class SQLiteSession(BackendSession):
 
     def snapshot(self) -> Any:
         return self.sqlite
-
-    def create_lineage_index(self) -> Any:
-        from .sqlite_backend import SQLiteLineageIndex
-
-        return SQLiteLineageIndex(self.sqlite)
 
     def batch_whyno_candidates(
             self, query: ConjunctiveQuery,

@@ -85,11 +85,6 @@ def _check_relation_name(relation: str) -> None:
         raise BackendError(
             f"relation name {relation!r} collides with the partition views"
         )
-    if relation.startswith("__lineage_index"):
-        raise BackendError(
-            f"relation name {relation!r} collides with the lineage "
-            "inverted-index tables"
-        )
     if _COLUMN_INDEX_SUFFIX_RE.search(relation):
         raise BackendError(
             f"relation name {relation!r} collides with the per-column "
@@ -110,10 +105,8 @@ def _check_relation_name(relation: str) -> None:
 _WHYNO_TEMP_RE = re.compile(r"^(__dom_\d+|__whyno_heads)$")
 
 #: Suffixes the backend derives from a relation name (partition views,
-#: per-column indexes, lineage-index covering/answer-id indexes).
-_DERIVED_SUFFIX_RE = re.compile(r"(__endo|__exo|__cover|__aid|__ix\d+)$")
-
-_LINEAGE_INDEX_PREFIX = "__lineage_index_"
+#: per-column indexes).
+_DERIVED_SUFFIX_RE = re.compile(r"(__endo|__exo|__ix\d+)$")
 
 
 def quote_identifier(name: str) -> str:
@@ -122,12 +115,12 @@ def quote_identifier(name: str) -> str:
     This is the single choke point every interpolated identifier (relation,
     view, index, temp table) must pass through — the ``sql-quoting`` lint
     rule enforces exactly that.  Validation reduces derived names (partition
-    views, per-column and lineage indexes) to their base relation and holds
-    that base to :func:`_check_relation_name`'s reserved-name rules; the
-    backend's own scratch names (``__dom_N``, ``__whyno_heads``,
-    ``__lineage_index_*``) are accepted as themselves.  Quoting is otherwise
-    semantics-preserving for plain identifiers, and lets relation names that
-    are SQL keywords (``Order``, ``Group``) work instead of erroring.
+    views, per-column indexes) to their base relation and holds that base to
+    :func:`_check_relation_name`'s reserved-name rules; the backend's own
+    scratch names (``__dom_N``, ``__whyno_heads``) are accepted as
+    themselves.  Quoting is otherwise semantics-preserving for plain
+    identifiers, and lets relation names that are SQL keywords (``Order``,
+    ``Group``) work instead of erroring.
 
     Examples
     --------
@@ -144,11 +137,7 @@ def quote_identifier(name: str) -> str:
         raise BackendError(
             f"SQL identifier {name!r} is not a plain identifier")
     if _WHYNO_TEMP_RE.match(name) is None:
-        base = name
-        if base.startswith(_LINEAGE_INDEX_PREFIX):
-            base = base[len(_LINEAGE_INDEX_PREFIX):]
-        base = _DERIVED_SUFFIX_RE.sub("", base)
-        _check_relation_name(base)
+        _check_relation_name(_DERIVED_SUFFIX_RE.sub("", name))
     return f'"{name}"'
 
 
@@ -569,204 +558,6 @@ class SQLiteDatabase:
     def __repr__(self) -> str:
         return (f"SQLiteDatabase({len(self._arities)} relations at "
                 f"{self.path!r})")
-
-
-class SQLiteLineageIndex:
-    """The lineage inverted index stored inside the loaded SQLite snapshot.
-
-    Interface-compatible with :class:`repro.engine.lineage_index.LineageIndex`
-    (``rebuild`` / ``index_answer`` / ``drop_answer`` / ``answers_with`` /
-    ``tuples_of`` / ``snapshot``), but the postings live where the data
-    lives: one table ``__lineage_index_<rel>(c0 .., answer_id)`` per
-    relation appearing in some valuation group, with a covering index on
-    ``(c0 .., answer_id)`` (the refresh probe) and a second index on
-    ``answer_id`` (re-indexing a dirty answer).  Probes run as indexed,
-    NULL-safe ``SELECT DISTINCT answer_id`` statements and return only
-    integer ids, resolved through a Python-side id ↔ answer map — a
-    SQLite-backed refresh never ships the instance to Python.
-
-    Examples
-    --------
-    >>> from repro.relational import Database
-    >>> db = Database()
-    >>> r = db.add_fact("R", "a", "b")
-    >>> s = db.add_fact("S", "b")
-    >>> index = SQLiteLineageIndex(SQLiteDatabase(db))
-    >>> index.rebuild({("a",): [frozenset({r, s})]})
-    >>> index.answers_with([s])
-    {('a',)}
-    >>> index.drop_answer(("a",))
-    >>> index.answers_with([s])
-    set()
-    """
-
-    def __init__(self, backend: SQLiteDatabase):
-        self._backend = backend
-        self._connection = backend.connection
-        self._arities: Dict[str, int] = {}
-        self._ids: Dict[Any, int] = {}
-        self._answers: Dict[int, Any] = {}
-        # answer_id -> relations whose postings table holds rows for it,
-        # so re-indexing deletes only where the old postings actually live.
-        self._answer_relations: Dict[int, Set[str]] = {}
-
-    @staticmethod
-    def _table(relation: str) -> str:
-        return f"__lineage_index_{relation}"
-
-    def _ensure_table(self, relation: str, arity: int) -> str:
-        from ..datalog.sql import default_column
-
-        known = self._arities.get(relation)
-        name = self._table(relation)
-        if known is not None:
-            if known != arity:
-                raise BackendError(
-                    f"lineage index for {relation!r} already holds arity "
-                    f"{known}, cannot index arity {arity}"
-                )
-            return name
-        _check_relation_name(relation)
-        columns = [default_column(i) for i in range(arity)]
-        prefix = f"{', '.join(columns)}, " if columns else ""
-        cover_index = f"{name}__cover"
-        aid_index = f"{name}__aid"
-        try:
-            self._connection.execute(
-                f"CREATE TABLE {quote_identifier(name)} "
-                f"({prefix}answer_id INTEGER NOT NULL)")
-            covering = ", ".join(columns + ["answer_id"])
-            self._connection.execute(
-                f"CREATE INDEX {quote_identifier(cover_index)} "
-                f"ON {quote_identifier(name)} ({covering})")
-            self._connection.execute(
-                f"CREATE INDEX {quote_identifier(aid_index)} "
-                f"ON {quote_identifier(name)} (answer_id)")
-        except sqlite3.Error as error:
-            raise BackendError(
-                f"cannot create lineage index table for {relation!r}: "
-                f"{error}"
-            ) from error
-        self._arities[relation] = arity
-        return name
-
-    def _answer_id(self, answer: Any) -> int:
-        aid = self._ids.get(answer)
-        if aid is None:
-            aid = len(self._ids) + 1
-            self._ids[answer] = aid
-            self._answers[aid] = answer
-        return aid
-
-    # ------------------------------------------------------------------ #
-    # maintenance
-    # ------------------------------------------------------------------ #
-    def rebuild(self, groups: Mapping[Any, Iterable[FrozenSet[Tuple]]]) -> None:
-        """Replace the whole index with the postings of ``groups``."""
-        for relation in self._arities:
-            self._connection.execute(
-                f"DELETE FROM {quote_identifier(self._table(relation))}")
-        self._ids.clear()
-        self._answers.clear()
-        self._answer_relations.clear()
-        for answer, conjuncts in groups.items():
-            self.index_answer(answer, conjuncts)
-        self._connection.commit()
-
-    def index_answer(self, answer: Any,
-                     conjuncts: Iterable[FrozenSet[Tuple]]) -> None:
-        """(Re-)index one answer: delete its old postings, insert the new."""
-        tuples: Set[Tuple] = set()
-        for conjunct in conjuncts:
-            tuples.update(conjunct)
-        aid = self._answer_id(answer)
-        for relation in self._answer_relations.get(aid, ()):
-            self._connection.execute(
-                f"DELETE FROM {quote_identifier(self._table(relation))} "
-                f"WHERE answer_id = ?", (aid,))
-        rows_by_relation: Dict[str, List[TypingTuple[Any, ...]]] = {}
-        for tup in tuples:
-            for value in tup.values:
-                _check_value(tup.relation, value)
-            rows_by_relation.setdefault(tup.relation, []).append(
-                tuple(tup.values) + (aid,))
-        for relation, rows in sorted(rows_by_relation.items()):
-            arity = len(rows[0]) - 1
-            name = self._ensure_table(relation, arity)
-            placeholders = ", ".join("?" for _ in range(arity + 1))
-            self._connection.executemany(
-                f"INSERT INTO {quote_identifier(name)} "
-                f"VALUES ({placeholders})", rows)
-        if rows_by_relation:
-            self._answer_relations[aid] = set(rows_by_relation)
-        else:
-            self._answer_relations.pop(aid, None)
-
-    def drop_answer(self, answer: Any) -> None:
-        """Remove an answer's postings (its group vanished)."""
-        self.index_answer(answer, ())
-
-    # ------------------------------------------------------------------ #
-    # probes
-    # ------------------------------------------------------------------ #
-    def answers_with(self, tuples: Iterable[Tuple]) -> Set[Any]:
-        """All answers whose lineage mentions any of ``tuples``.
-
-        One covering-index probe per changed tuple; only integer answer ids
-        cross the SQL boundary.
-        """
-        from ..datalog.sql import default_column
-
-        dirty: Set[Any] = set()
-        for tup in tuples:
-            arity = self._arities.get(tup.relation)
-            if arity is None or arity != tup.arity:
-                continue
-            conditions = [f"{default_column(i)} IS ?"
-                          for i in range(tup.arity)]
-            where = " AND ".join(conditions) if conditions else "1"
-            cursor = self._connection.execute(
-                f"SELECT DISTINCT answer_id "
-                f"FROM {quote_identifier(self._table(tup.relation))} "
-                f"WHERE {where}", tuple(tup.values))
-            for (aid,) in cursor:
-                dirty.add(self._answers[aid])
-        return dirty
-
-    def tuples_of(self, answer: Any) -> FrozenSet[Tuple]:
-        """The indexed lineage tuple set of one answer."""
-        aid = self._ids.get(answer)
-        if aid is None:
-            return frozenset()
-        found: Set[Tuple] = set()
-        for relation in self._answer_relations.get(aid, ()):
-            arity = self._arities[relation]
-            for row in self._connection.execute(
-                    f"SELECT * FROM {quote_identifier(self._table(relation))} "
-                    "WHERE answer_id = ?", (aid,)):
-                found.add(Tuple(relation, tuple(row[:arity])))
-        return frozenset(found)
-
-    # ------------------------------------------------------------------ #
-    # introspection (tests, docs)
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[Tuple, FrozenSet[Any]]:
-        """``{tuple: frozenset(answers)}`` — matches the memory twin's shape."""
-        postings: Dict[Tuple, Set[Any]] = {}
-        for relation, arity in self._arities.items():
-            for row in self._connection.execute(
-                    f"SELECT * "
-                    f"FROM {quote_identifier(self._table(relation))}"):
-                tup = Tuple(relation, tuple(row[:arity]))
-                postings.setdefault(tup, set()).add(self._answers[row[arity]])
-        return {tup: frozenset(answers) for tup, answers in postings.items()}
-
-    def __len__(self) -> int:
-        return len(self._answer_relations)
-
-    def __repr__(self) -> str:
-        return (f"SQLiteLineageIndex({len(self._answer_relations)} "
-                f"answer(s) over {len(self._arities)} relation(s))")
 
 
 class SQLiteEvaluator:

@@ -4,9 +4,11 @@ The property suite (``tests/property/test_delta_streams.py``) pins the
 end-to-end contract (stream ≡ sequential ≡ scratch, index parity across
 backends); here the pieces are pinned in isolation:
 
-* both index implementations agree probe-for-probe on the same groups;
-* the SQLite twin's tables cannot collide with user relations (the name
-  guard rejects the reserved shapes);
+* the index's probe / re-index / drop contract on hand-built groups;
+* memory- and SQLite-backed engines maintain equal indexes, and several
+  engines can share one SQLite session;
+* only the backend's own object names are reserved, so a relation named
+  like the retired ``__lineage_index_<rel>`` tables loads on both backends;
 * a no-op delta does **zero** cache work (the invalidation used to run
   before the emptiness check);
 * mixed-type tuple values cannot break the deterministic re-derivation
@@ -18,9 +20,9 @@ import pytest
 from repro.engine import BatchExplainer, LineageIndex
 from repro.exceptions import BackendError
 from repro.relational import Database, DatabaseDelta, parse_query
+from repro.relational.session import open_session
 from repro.relational.sqlite_backend import (
     SQLiteDatabase,
-    SQLiteLineageIndex,
     _check_relation_name,
 )
 from repro.relational.tuples import Tuple
@@ -36,22 +38,10 @@ def small_groups():
     return r1, r2, s, groups
 
 
-def sqlite_index_for(groups):
-    db = Database()
-    for conjuncts in groups.values():
-        for conjunct in conjuncts:
-            for tup in conjunct:
-                db.add(tup)
-    return SQLiteLineageIndex(SQLiteDatabase(db))
-
-
-@pytest.mark.parametrize("make_index",
-                         [lambda groups: LineageIndex(), sqlite_index_for],
-                         ids=["memory", "sqlite"])
 class TestIndexContract:
-    def test_rebuild_and_probe(self, make_index):
+    def test_rebuild_and_probe(self):
         r1, r2, s, groups = small_groups()
-        index = make_index(groups)
+        index = LineageIndex()
         index.rebuild(groups)
         assert index.answers_with([s]) == {("a",), ("c",)}
         assert index.answers_with([r2]) == {("c",)}
@@ -60,18 +50,18 @@ class TestIndexContract:
         assert len(index) == 2
         assert index.tuples_of(("a",)) == frozenset({r1, s})
 
-    def test_index_answer_diffs_postings(self, make_index):
+    def test_index_answer_diffs_postings(self):
         r1, r2, s, groups = small_groups()
-        index = make_index(groups)
+        index = LineageIndex()
         index.rebuild(groups)
         # ("c",) loses r2, gains r1: postings must follow the diff.
         index.index_answer(("c",), [frozenset({r1, s})])
         assert index.answers_with([r2]) == set()
         assert index.answers_with([r1]) == {("a",), ("c",)}
 
-    def test_drop_answer(self, make_index):
+    def test_drop_answer(self):
         r1, r2, s, groups = small_groups()
-        index = make_index(groups)
+        index = LineageIndex()
         index.rebuild(groups)
         index.drop_answer(("a",))
         assert index.answers_with([r1]) == set()
@@ -79,31 +69,65 @@ class TestIndexContract:
         assert len(index) == 1
         assert index.tuples_of(("a",)) == frozenset()
 
-    def test_snapshot_shape(self, make_index):
+    def test_snapshot_shape(self):
         r1, r2, s, groups = small_groups()
-        index = make_index(groups)
+        index = LineageIndex()
         index.rebuild(groups)
         snapshot = index.snapshot()
         assert snapshot[s] == frozenset({("a",), ("c",)})
         assert snapshot[r1] == frozenset({("a",)})
 
 
+def fixture_instance():
+    db = Database()
+    for x, y in [("a1", "a5"), ("a2", "a1"), ("a3", "a3"), ("a4", "a3"),
+                 ("a4", "a2")]:
+        db.add_fact("R", x, y)
+    for y in ["a1", "a2", "a3", "a4", "a6"]:
+        db.add_fact("S", y)
+    return db
+
+
 def test_backends_build_identical_snapshots():
-    _, _, _, groups = small_groups()
-    memory = LineageIndex()
-    memory.rebuild(groups)
-    sqlite = sqlite_index_for(groups)
-    sqlite.rebuild(groups)
-    assert memory.snapshot() == sqlite.snapshot()
+    """Memory- and SQLite-backed engines hold equal indexes after one stream."""
+    db = fixture_instance()
+    deltas = [
+        DatabaseDelta(inserts=[Tuple("R", ("a6", "a6"))],
+                      deletes=[Tuple("S", ("a3",))]),
+        DatabaseDelta(inserts=[Tuple("S", ("a5",))],
+                      deletes=[Tuple("R", ("a2", "a1"))]),
+    ]
+    snapshots = []
+    for backend in ("memory", "sqlite"):
+        explainer = BatchExplainer(QUERY, db.copy(), backend=backend)
+        explainer.explain_all()
+        explainer.refresh_all(deltas)
+        assert isinstance(explainer.lineage_index, LineageIndex)
+        snapshots.append(explainer.lineage_index.snapshot())
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0][Tuple("S", ("a5",))] == frozenset({("a1",)})
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_two_explainers_share_one_session(backend):
+    """Regression: a second engine on a SQLite session used to fail creating
+    the index tables the first engine had already created there."""
+    db = fixture_instance()
+    by_x = parse_query("q(x) :- R(x, y), S(y)")
+    by_y = parse_query("q(y) :- R(x, y), S(y)")
+    with open_session(db, backend=backend) as session:
+        first = BatchExplainer(by_x, db, session=session)
+        second = BatchExplainer(by_y, db, session=session)
+        assert first.answers() == [("a2",), ("a3",), ("a4",)]
+        assert second.answers() == [("a1",), ("a2",), ("a3",)]
+        assert first.lineage_index is not second.lineage_index
 
 
 class TestReservedNames:
     """Tables and indexes share SQLite's namespace: the loader must reject
     relation names that could collide with the backend's own objects."""
 
-    @pytest.mark.parametrize("name", [
-        "__lineage_index", "__lineage_index_R", "R__ix0", "Movie__ix12",
-    ])
+    @pytest.mark.parametrize("name", ["R__ix0", "Movie__ix12"])
     def test_reserved_shapes_rejected(self, name):
         with pytest.raises(BackendError):
             _check_relation_name(name)
@@ -115,6 +139,17 @@ class TestReservedNames:
     def test_ordinary_names_still_pass(self):
         for name in ("R", "lineage_index", "Movie_ix", "R__ixx", "ix0"):
             _check_relation_name(name)
+
+    def test_lineage_index_name_is_an_ordinary_relation(self):
+        """Regression: ``__lineage_index_R`` loads on SQLite as on memory."""
+        db = Database()
+        db.add_fact("__lineage_index_R", "a", "b")
+        db.add_fact("__lineage_index_R", "c", "d")
+        db.add_fact("S", "b")
+        query = parse_query("q(x) :- __lineage_index_R(x, y), S(y)")
+        answers = [BatchExplainer(query, db, backend=backend).answers()
+                   for backend in ("memory", "sqlite")]
+        assert answers[0] == answers[1] == [("a",)]
 
 
 class TestNoOpDeltaDoesNoCacheWork:

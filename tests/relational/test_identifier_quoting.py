@@ -26,12 +26,9 @@ class TestQuoteIdentifier:
         assert quote_identifier("Movie_2010") == '"Movie_2010"'
 
     def test_backend_derived_names_are_accepted(self):
-        # Partition views, per-column indexes, lineage-index tables and
-        # their covering/answer-id indexes, Why-No scratch tables.
+        # Partition views, per-column indexes, Why-No scratch tables.
         for name in ["R__endo", "R__exo", "R__ix0", "R__ix12",
-                     "__lineage_index_R", "__lineage_index_R__cover",
-                     "__lineage_index_R__aid", "__dom_0", "__dom_17",
-                     "__whyno_heads"]:
+                     "__dom_0", "__dom_17", "__whyno_heads"]:
             assert quote_identifier(name) == f'"{name}"'
 
     @pytest.mark.parametrize("name", [
@@ -49,7 +46,7 @@ class TestQuoteIdentifier:
         # Derived-name reduction holds the *base* to the relation rules:
         # a name deriving from a reserved relation is itself reserved.
         with pytest.raises(BackendError):
-            quote_identifier("__lineage_index___whyno_heads")
+            quote_identifier("__whyno_heads__ix0")
 
     def test_sql_keyword_relation_names_are_usable(self):
         # The quoting bonus: relation names that are SQL keywords load and
