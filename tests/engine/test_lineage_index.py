@@ -4,7 +4,8 @@ The property suite (``tests/property/test_delta_streams.py``) pins the
 end-to-end contract (stream ≡ sequential ≡ scratch, index parity across
 backends); here the pieces are pinned in isolation:
 
-* the index's probe / re-index / drop contract on hand-built groups;
+* the index's probe / re-index / drop contract on hand-built groups, on
+  the index an engine of either backend builds;
 * memory- and SQLite-backed engines maintain equal indexes, and several
   engines can share one SQLite session;
 * only the backend's own object names are reserved, so a relation named
@@ -38,10 +39,25 @@ def small_groups():
     return r1, r2, s, groups
 
 
+def engine_index(backend, groups):
+    """The index an engine on ``backend`` holds after its full pass over the
+    tuples of ``groups`` — for :func:`small_groups` that pass yields exactly
+    ``groups``, so the index arrives populated through the engine's path."""
+    db = Database()
+    for conjuncts in groups.values():
+        for conjunct in conjuncts:
+            for tup in conjunct:
+                db.add(tup)
+    explainer = BatchExplainer(QUERY, db, backend=backend)
+    explainer.answers()
+    return explainer.lineage_index
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 class TestIndexContract:
-    def test_rebuild_and_probe(self):
+    def test_rebuild_and_probe(self, backend):
         r1, r2, s, groups = small_groups()
-        index = LineageIndex()
+        index = engine_index(backend, groups)
         index.rebuild(groups)
         assert index.answers_with([s]) == {("a",), ("c",)}
         assert index.answers_with([r2]) == {("c",)}
@@ -50,18 +66,18 @@ class TestIndexContract:
         assert len(index) == 2
         assert index.tuples_of(("a",)) == frozenset({r1, s})
 
-    def test_index_answer_diffs_postings(self):
+    def test_index_answer_diffs_postings(self, backend):
         r1, r2, s, groups = small_groups()
-        index = LineageIndex()
+        index = engine_index(backend, groups)
         index.rebuild(groups)
         # ("c",) loses r2, gains r1: postings must follow the diff.
         index.index_answer(("c",), [frozenset({r1, s})])
         assert index.answers_with([r2]) == set()
         assert index.answers_with([r1]) == {("a",), ("c",)}
 
-    def test_drop_answer(self):
+    def test_drop_answer(self, backend):
         r1, r2, s, groups = small_groups()
-        index = LineageIndex()
+        index = engine_index(backend, groups)
         index.rebuild(groups)
         index.drop_answer(("a",))
         assert index.answers_with([r1]) == set()
@@ -69,9 +85,9 @@ class TestIndexContract:
         assert len(index) == 1
         assert index.tuples_of(("a",)) == frozenset()
 
-    def test_snapshot_shape(self):
+    def test_snapshot_shape(self, backend):
         r1, r2, s, groups = small_groups()
-        index = LineageIndex()
+        index = engine_index(backend, groups)
         index.rebuild(groups)
         snapshot = index.snapshot()
         assert snapshot[s] == frozenset({("a",), ("c",)})
@@ -140,13 +156,15 @@ class TestReservedNames:
         for name in ("R", "lineage_index", "Movie_ix", "R__ixx", "ix0"):
             _check_relation_name(name)
 
-    def test_lineage_index_name_is_an_ordinary_relation(self):
-        """Regression: ``__lineage_index_R`` loads on SQLite as on memory."""
+    @pytest.mark.parametrize("name", ["__lineage_index", "__lineage_index_R"])
+    def test_lineage_index_name_is_an_ordinary_relation(self, name):
+        """Regression: the retired index tables' names load on SQLite as on
+        memory."""
         db = Database()
-        db.add_fact("__lineage_index_R", "a", "b")
-        db.add_fact("__lineage_index_R", "c", "d")
+        db.add_fact(name, "a", "b")
+        db.add_fact(name, "c", "d")
         db.add_fact("S", "b")
-        query = parse_query("q(x) :- __lineage_index_R(x, y), S(y)")
+        query = parse_query(f"q(x) :- {name}(x, y), S(y)")
         answers = [BatchExplainer(query, db, backend=backend).answers()
                    for backend in ("memory", "sqlite")]
         assert answers[0] == answers[1] == [("a",)]
