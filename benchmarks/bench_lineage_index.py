@@ -33,7 +33,7 @@ from collections import Counter
 import pytest
 
 from repro.engine import BatchExplainer
-from repro.engine.cache import _key_mentions
+from repro.lineage.boolean_expr import PositiveDNF
 from repro.relational.columnar import materialize_conjuncts
 from repro.relational import DatabaseDelta, evaluate, parse_query
 from repro.relational.tuples import Tuple
@@ -81,6 +81,34 @@ def delta_and_inverse(db):
     return delta, inverse
 
 
+def _key_mentions(key, tuples):
+    """Does a cache key reference any of the given database tuples?
+
+    The pre-index invalidation's structural walk, kept here for the replay:
+    keys are trees of hashables whose tuple-bearing leaves are
+    :class:`~repro.relational.tuples.Tuple` values and :class:`PositiveDNF`
+    formulas; anything else is opaque and treated as tuple-free.
+    """
+    if isinstance(key, Tuple):
+        return key in tuples
+    if isinstance(key, PositiveDNF):
+        return bool(key.variables() & tuples)
+    if isinstance(key, (tuple, frozenset)):
+        return any(_key_mentions(part, tuples) for part in key)
+    return False
+
+
+def _drop_entry(cache, key):
+    """Remove one entry and its per-tuple key postings."""
+    del cache._entries[key]
+    phi_n, tuple_ = key
+    for tup in phi_n.variables() | {tuple_}:
+        bucket = cache._tuple_keys[tup]
+        bucket.discard(key)
+        if not bucket:
+            del cache._tuple_keys[tup]
+
+
 def legacy_refresh(explainer, delta):
     """The pre-index refresh, replayed against a live engine.
 
@@ -97,8 +125,7 @@ def legacy_refresh(explainer, delta):
     doomed = [key for key in list(cache._entries)
               if _key_mentions(key, changed)]
     for key in doomed:
-        del cache._entries[key]
-        cache._unindex_key(key)
+        _drop_entry(cache, key)
     if not changed:
         return
     if hasattr(explainer._evaluator, "_indexes"):

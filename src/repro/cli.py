@@ -195,12 +195,10 @@ def _cmd_explain_batch(args: argparse.Namespace) -> int:
     if args.delta is not None:
         _refresh_and_print(explainer, args.delta, args.top, "answer")
     if args.cache_stats:
-        if args.workers is not None and args.workers > 1:
-            # Worker entries merge back but count neither as hits nor misses.
-            print(f"\nlineage cache: {len(explainer.cache)} entries after "
-                  f"the fan-out merge ({explainer.cache.stats} locally)")
-        else:
-            print(f"\nlineage cache: {explainer.cache.stats}")
+        # Fan-out workers keep their caches to themselves: these are the
+        # parent's own entries and lookups, on every path.
+        print(f"\nlineage cache: {len(explainer.cache)} entries in the "
+              f"parent process, {explainer.cache.stats}")
         _print_pass_stats(explainer)
     return 0
 

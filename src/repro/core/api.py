@@ -202,8 +202,8 @@ class ExplanationSession:
 
         ``workers``/``transport`` select the parallel fan-out of
         :meth:`repro.engine.BatchExplainer.explain_all`; the workers inherit
-        the session engine's completed open-query pass, and their cache
-        entries merge back into it; ``chunking`` sets the chunk count
+        the session engine's completed open-query pass and send back
+        explanations only; ``chunking`` sets the chunk count
         (``"contiguous"`` or ``"stealing"``).  ``on_chunk`` streams ranked explanations back
         incrementally as chunks finish (see there) — this is what the
         explanation service's streaming responses ride on.

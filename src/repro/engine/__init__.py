@@ -13,8 +13,8 @@ answer" — workloads:
   in one pass, build the combined instance ``Dx ∪ Dn`` once, and read every
   non-answer's causes off one shared open-query valuation pass
   (Theorem 4.17);
-* :class:`~repro.engine.cache.LineageCache` — keyed memoization of the
-  hitting-set / contingency results, shareable across explainers;
+* :class:`~repro.engine.cache.LineageCache` — the exact engine's in-process
+  memo of minimum contingencies, keyed by (n-lineage, inspected tuple);
 * :class:`~repro.engine.lineage_index.LineageIndex` — the tuple → answers
   inverted index both engines maintain alongside their valuation groups, so
   ``refresh`` / ``refresh_all`` probe the delta's neighbourhood instead of

@@ -11,10 +11,10 @@ shipped each worker a bound query and had it re-run everything.
 The seam has three pieces:
 
 * :class:`FanOutSpec` — what a worker does: an optional per-worker ``setup``
-  turning the shared state into a worker context, a per-target ``compute``,
-  and an optional ``finalize`` returning a picklable extra (e.g. cache
-  entries to merge back).  All three must be module-level functions so they
-  pickle by reference.
+  turning the shared state into a worker context, and a per-target
+  ``compute``.  Both must be module-level functions so they pickle by
+  reference.  The fan-out is one-way: workers send back per-target results
+  and nothing else.
 * a **transport** — how the shared state reaches the worker processes:
 
   =================  ========================================================
@@ -56,12 +56,11 @@ The chunks sit behind a shared claim index — a :mod:`multiprocessing`
 counter shipped through the pool initializer.  Each worker loops: lock,
 read-and-increment the index, run the claimed chunk, until the index runs
 off the end.  ``setup`` runs on a worker's first claim, so a worker that
-claims nothing never runs ``setup`` (and skips ``finalize``).  The serial
-transport runs the same loop in the parent, over one chunk.
+claims nothing never runs ``setup``.  The serial transport runs the same
+loop in the parent, over one chunk.
 
 Either chunking yields the *same* :class:`FanOutResult`: results are
-re-keyed in serial target order and per-worker ``finalize`` extras are
-collected in worker submission order, so outputs stay independent of which
+re-keyed in serial target order, so outputs stay independent of which
 worker claimed what.
 
 Failures are typed, never hung and never half-merged: a worker that raises
@@ -70,8 +69,8 @@ offending target; a worker *process* that dies surfaces the same error
 naming the chunks no worker finished.  A failing chunk aborts its own
 remaining targets immediately and its worker stops claiming; the sibling
 workers drain the remaining chunks, so the wait is bounded by the remaining
-work.  On any failure no result (and no ``finalize`` extra) is handed to the
-caller, so the parent's caches stay exactly as they were.
+work.  On any failure no result is handed to the caller, so the parent's
+memos stay exactly as they were.
 
 **Streaming**: ``fan_out(..., on_chunk=...)`` reports each *successful*
 chunk as soon as the worker that ran it returns — ``on_chunk(chunk_targets,
@@ -97,15 +96,12 @@ semantics for the parallel ones:
 >>> result.transport, result.requested_workers, result.effective_workers
 ('serial', 1, 1)
 
-``setup`` runs once per worker, ``finalize`` once per worker after its
-last chunk; the extras are collected on the result:
+``setup`` runs once per worker, before its first target:
 
->>> spec = FanOutSpec(setup=lambda state: {"base": state, "seen": []},
-...                   compute=lambda ctx, t: ctx["seen"].append(t) or ctx["base"] + t,
-...                   finalize=lambda ctx: tuple(ctx["seen"]))
->>> result = fan_out(["a", "b"], "!", spec, workers=1)
->>> dict(result), result.extras
-({'a': '!a', 'b': '!b'}, [('a', 'b')])
+>>> spec = FanOutSpec(setup=lambda state: {"base": state},
+...                   compute=lambda ctx, t: ctx["base"] + t)
+>>> dict(fan_out(["a", "b"], "!", spec, workers=1))
+{'a': '!a', 'b': '!b'}
 """
 
 from __future__ import annotations
@@ -141,7 +137,7 @@ _STEAL_CHUNK_FACTOR = 4
 
 
 class FanOutSpec:
-    """What each fan-out worker runs, as three module-level functions.
+    """What each fan-out worker runs, as two module-level functions.
 
     Parameters
     ----------
@@ -151,24 +147,18 @@ class FanOutSpec:
         Optional ``setup(shared_state) -> context``, run once per worker
         before its first target (build the worker-side explainer here).
         When omitted the shared state itself is the context.
-    finalize:
-        Optional ``finalize(context) -> extra``, run once per worker after
-        its last target; the picklable extras are collected on
-        :attr:`FanOutResult.extras` (merge caches back from here).
 
-    For the process transports all three must be importable module-level
+    For the process transports both must be importable module-level
     functions (they are pickled by reference); the serial transport also
     accepts lambdas, which keeps doctests and tests lightweight.
     """
 
-    __slots__ = ("compute", "setup", "finalize")
+    __slots__ = ("compute", "setup")
 
     def __init__(self, compute: Callable[[Any, Any], Any],
-                 setup: Optional[Callable[[Any], Any]] = None,
-                 finalize: Optional[Callable[[Any], Any]] = None) -> None:
+                 setup: Optional[Callable[[Any], Any]] = None) -> None:
         self.compute = compute
         self.setup = setup
-        self.finalize = finalize
 
 
 class FanOutResult(Dict[Any, Any]):
@@ -190,30 +180,24 @@ class FanOutResult(Dict[Any, Any]):
         there are fewer targets than workers).  Under either chunking a
         worker may claim several chunks, or none.  The serial transport
         always reports 1.
-    extras:
-        The per-worker ``finalize`` returns, in worker submission order
-        (empty when the spec has no ``finalize``; a worker that claimed no
-        chunk contributes none).
     state_bytes:
         Pickled size of the staged ``(spec, shared_state)`` pair, reported
-        on **every** transport so ``--cache-stats`` lines stay comparable:
-        the shared-memory transport reports the segment payload it actually
-        shipped, while fork (which stages the same state copy-on-write) and
-        serial (which stages it in-process) measure the identical pickle
-        without shipping it.  ``None`` only when the state is unpicklable
+        on **every** transport so the CLI's ``fan-out:`` lines stay
+        comparable: the shared-memory transport reports the segment payload
+        it actually shipped, while fork (which stages the same state
+        copy-on-write) and serial (which stages it in-process) measure the
+        identical pickle without shipping it.  ``None`` only when the state is unpicklable
         (e.g. lambda specs on the serial transport) — or on engine fast
         paths that never stage state for a pool at all.
     """
 
     def __init__(self, results: Dict[Any, Any], transport: str,
                  requested_workers: int, effective_workers: int,
-                 extras: Optional[List[Any]] = None,
                  state_bytes: Optional[int] = None) -> None:
         super().__init__(results)
         self.transport = transport
         self.requested_workers = requested_workers
         self.effective_workers = effective_workers
-        self.extras: List[Any] = [] if extras is None else extras
         self.state_bytes = state_bytes
 
     def __repr__(self) -> str:
@@ -331,24 +315,19 @@ def _run_chunks(spec: FanOutSpec, state: Any, chunks: List[List[Any]],
     The worker repeatedly calls ``claim()`` for the index of the next
     unclaimed chunk and runs it, until the index runs off the end.
     ``setup`` runs on the first claimed chunk only, so a worker its
-    siblings starve out pays nothing and produces no extra.  The per-target
-    try/except is what lets the parent name the *offending target*: on a
-    failure the worker stops claiming and returns early, the siblings drain
-    the remaining chunks, and the parent raises.  A ``finalize`` failure
-    voids the worker's entire contribution (its per-chunk results cannot be
-    merged without the extra they were computed alongside), reported
-    against every target it ran.
+    siblings starve out pays nothing.  The per-target try/except is what
+    lets the parent name the *offending target*: on a failure the worker
+    stops claiming and returns early, the siblings drain the remaining
+    chunks, and the parent raises.
     """
     outcomes: List[TypingTuple[int, Dict[str, Any]]] = []
     index = claim()
     if index >= len(chunks):
-        return {"outcomes": outcomes, "extra": None}
-    first = index
+        return {"outcomes": outcomes}
     try:
         context = state if spec.setup is None else spec.setup(state)
     except Exception as error:
         return {"outcomes": [(index, _failure(tuple(chunks[index]), error))]}
-    ran: List[Any] = []
     while index < len(chunks):
         results: Dict[Any, Any] = {}
         for target in chunks[index]:
@@ -357,16 +336,9 @@ def _run_chunks(spec: FanOutSpec, state: Any, chunks: List[List[Any]],
             except Exception as error:
                 outcomes.append((index, _failure((target,), error)))
                 return {"outcomes": outcomes}
-        ran.extend(chunks[index])
         outcomes.append((index, {"results": results}))
         index = claim()
-    extra = None
-    if spec.finalize is not None:
-        try:
-            extra = spec.finalize(context)
-        except Exception as error:
-            return {"outcomes": [(first, _failure(tuple(ran), error))]}
-    return {"outcomes": outcomes, "extra": extra}
+    return {"outcomes": outcomes}
 
 
 def _failure(targets: TypingTuple[Any, ...],
@@ -463,8 +435,8 @@ def _collect(
     chunks: List[List[Any]],
     transport: str,
     on_chunk: Optional[OnChunk] = None,
-) -> TypingTuple[Dict[Any, Any], List[Any]]:
-    """Gather worker payloads into ``(results, extras)``; raise typed errors.
+) -> Dict[Any, Any]:
+    """Gather worker payloads into one results dict; raise typed errors.
 
     Payloads are consumed lazily, in completion order.  Every future is
     drained before deciding what to raise: a dead worker process breaks the
@@ -478,10 +450,8 @@ def _collect(
     Nothing is returned on failure, so nothing merges.
     """
     ran: Dict[int, Dict[str, Any]] = {}
-    extras: List[Any] = [None] * len(futures)
-    positions = {future: position for position, future in enumerate(futures)}
     broken_error: Optional[BaseException] = None
-    for future in concurrent.futures.as_completed(positions):
+    for future in concurrent.futures.as_completed(futures):
         try:
             payload = future.result()
         except BrokenProcessPool as error:
@@ -491,7 +461,6 @@ def _collect(
             ran[index] = outcome
             if on_chunk is not None and "failed" not in outcome:
                 on_chunk(list(chunks[index]), dict(outcome["results"]))
-        extras[positions[future]] = payload.get("extra")
     failures = sorted((index, outcome) for index, outcome in ran.items()
                       if "failed" in outcome)
     if failures:
@@ -518,7 +487,7 @@ def _collect(
     results: Dict[Any, Any] = {}
     for index in sorted(ran):
         results.update(ran[index]["results"])
-    return results, [extra for extra in extras if extra is not None]
+    return results
 
 
 def _describe_targets(targets: Sequence[Any]) -> str:
@@ -566,28 +535,27 @@ def fan_out(targets: Sequence[Key], shared_state: Any, spec: FanOutSpec,
             concurrent.futures.Future()
         done.set_result(_run_chunks(spec, shared_state, chunks,
                                     itertools.count().__next__))
-        results, extras = _collect([done], chunks, concrete, on_chunk)
+        results = _collect([done], chunks, concrete, on_chunk)
         state_bytes = _measure_staged_bytes(spec, shared_state)
     else:
         pool_size = effective_pool_size(len(targets), requested)
         chunks = _chunk_targets(targets, pool_size, chunking)
-        (results, extras), state_bytes = _run_pool(
+        results, state_bytes = _run_pool(
             chunks, shared_state, spec, concrete, pool_size, on_chunk)
     return FanOutResult({target: results[target] for target in targets},
-                        concrete, requested, pool_size, extras, state_bytes)
+                        concrete, requested, pool_size, state_bytes)
 
 
 def _run_pool(chunks: List[List[Any]], shared_state: Any, spec: FanOutSpec,
               transport: str, pool_size: int,
               on_chunk: Optional[OnChunk] = None
-              ) -> TypingTuple[TypingTuple[Dict[Any, Any], List[Any]],
-                               Optional[int]]:
+              ) -> TypingTuple[Dict[Any, Any], Optional[int]]:
     """Run the claim loop in ``pool_size`` worker processes.
 
     The claim index is created from the pool's own multiprocessing context
     and shipped via the pool *initializer* — the one channel that reaches
-    fork and spawn workers alike.  Returns the collected ``(results,
-    extras)`` and the staged state size.
+    fork and spawn workers alike.  Returns the collected results and the
+    staged state size.
     """
     global _FORK_SHARED
     context = multiprocessing.get_context(
@@ -595,7 +563,7 @@ def _run_pool(chunks: List[List[Any]], shared_state: Any, spec: FanOutSpec,
     claim = context.Value("l", 0)
 
     def run(worker: Callable[[Any], Dict[str, Any]], payload: Any
-            ) -> TypingTuple[Dict[Any, Any], List[Any]]:
+            ) -> Dict[Any, Any]:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=pool_size, mp_context=context,
                 initializer=_claim_init, initargs=(claim,)) as pool:

@@ -11,9 +11,9 @@ is shared:
   ``ā`` is exactly a valuation of the bound query ``q[ā/x̄]``, so grouping
   valuations by head tuple reproduces each answer's lineage bit-exactly;
 * the relation indexes of the shared :class:`QueryEvaluator` are built once;
-* answers whose simplified n-lineages coincide pose identical
-  minimum-contingency instances, solved once through the shared
-  :class:`~repro.engine.cache.LineageCache`.
+* the exact engine's minimum contingencies are memoized per (simplified
+  n-lineage, inspected tuple) in a :class:`~repro.engine.cache.LineageCache`,
+  which a refresh invalidates per changed tuple.
 
 Independent answers can optionally be fanned out over worker processes
 (``workers=N``) through the :mod:`repro.engine._pool` seam: the parent
@@ -22,9 +22,7 @@ pre-grouped per-answer valuations, the exogenous set and a read-only
 :meth:`~repro.relational.session.BackendSession.fanout_snapshot` of the
 database travel by fork inheritance or one pickled shared-memory segment,
 never per chunk — so no worker re-runs any valuation pass.  Workers send
-back ranked :class:`Explanation`\\ s plus their
-:class:`~repro.engine.cache.LineageCache` entries, which merge into the
-parent's cache (the keys are database-independent, so the merge is sound);
+back ranked :class:`Explanation`\\ s only, which the parent memoizes;
 results are bit-identical to the serial path.
 
 The valuation pass itself is pluggable (``backend="memory"`` /
@@ -74,7 +72,7 @@ from ..relational.session import BackendSession, open_session
 from ..relational.tuples import Tuple, value_sort_key
 from ._pool import FanOutResult, FanOutSpec, OnChunk, fan_out, \
     resolve_transport
-from .cache import CacheShard, LineageCache
+from .cache import LineageCache
 from .lineage_index import LineageIndex
 
 Answer = TypingTuple[Any, ...]
@@ -143,9 +141,6 @@ class BatchExplainer:
         exact hitting-set over the shared n-lineage otherwise.  ``"exact"``
         forces the hitting-set engine; ``"flow"`` forces Algorithm 1 (raising
         :class:`~repro.exceptions.NotLinearError` when not applicable).
-    cache:
-        A :class:`LineageCache` to share across explainers; a private one is
-        created when omitted.
     backend:
         ``"memory"`` (default) runs the valuation pass through the in-memory
         :class:`QueryEvaluator`; ``"sqlite"`` loads the instance into SQLite
@@ -170,8 +165,7 @@ class BatchExplainer:
     """
 
     def __init__(self, query: ConjunctiveQuery, database: Database,
-                 method: str = "auto", cache: Optional[LineageCache] = None,
-                 backend: str = "memory",
+                 method: str = "auto", backend: str = "memory",
                  session: Optional[BackendSession] = None) -> None:
         if method not in ("auto", "exact", "flow"):
             raise CausalityError(f"unknown method {method!r}")
@@ -187,7 +181,7 @@ class BatchExplainer:
         self.database = database
         self.method = method
         self.backend = backend
-        self.cache = cache if cache is not None else LineageCache()
+        self.cache = LineageCache()
         self.session = session if session is not None \
             else open_session(database, backend=backend)
         # Mutable on purpose: refresh patches membership per changed tuple
@@ -388,11 +382,10 @@ class BatchExplainer:
         the parent completes the open-query valuation pass first; every
         worker *inherits* the resulting per-answer groups, the exogenous
         set and a read-only snapshot of the database, so no worker re-runs
-        a valuation pass.  Workers start from a **pre-seed** of this
-        explainer's :class:`~repro.engine.cache.LineageCache` entries and
-        return mergeable :class:`~repro.engine.cache.CacheShard`\\ s, keeping
-        refresh-then-parallel incremental with commutative, lock-free
-        merges.  Every explicit target is checked to be an answer before
+        a valuation pass.  Workers return explanations only: each fills a
+        :class:`~repro.engine.cache.LineageCache` of its own, and this
+        explainer's cache entries and counters keep counting the parent's
+        own work.  Every explicit target is checked to be an answer before
         anything is explained or streamed.
 
         Examples
@@ -422,8 +415,7 @@ class BatchExplainer:
         self._run_full_pass()
         state = _WhySoFanOutState(self.query, self.session.fanout_snapshot(),
                                   self.method, self._conjuncts,
-                                  self._exogenous,
-                                  self.cache.export_entries())
+                                  self._exogenous)
         return state, _WHYSO_SPEC
 
     # ------------------------------------------------------------------ #
@@ -654,8 +646,13 @@ class BatchExplainer:
     # ------------------------------------------------------------------ #
     def n_lineage_of(self, answer: Optional[Sequence[Any]] = None,
                      simplify: bool = True) -> PositiveDNF:
-        """The (shared) n-lineage of one answer, as the engine sees it."""
-        key = () if self.query.is_boolean else tuple(answer or ())
+        """The (shared) n-lineage of one answer, as the engine sees it.
+
+        Raises :class:`~repro.exceptions.CausalityError`, like
+        :meth:`explain`, when ``answer`` is not an answer on this database.
+        """
+        key = self._key(answer)
+        self._require_target(key)
         phi = PositiveDNF(self._conjuncts_for(key))
         phi_n = phi.set_true(self._exogenous)
         return phi_n.remove_redundant() if simplify else phi_n
@@ -682,22 +679,16 @@ class _WhySoFanOutState:
     backend handles, no bound queries.
     """
 
-    __slots__ = ("query", "database", "method", "conjuncts", "exogenous",
-                 "cache_seed")
+    __slots__ = ("query", "database", "method", "conjuncts", "exogenous")
 
     def __init__(self, query: ConjunctiveQuery, database: Database,
                  method: str, conjuncts: Dict[Answer, ConjunctGroup],
-                 exogenous: FrozenSet[Tuple],
-                 cache_seed: Optional[Dict[Any, Any]] = None) -> None:
+                 exogenous: FrozenSet[Tuple]) -> None:
         self.query = query
         self.database = database
         self.method = method
         self.conjuncts = conjuncts
         self.exogenous = exogenous
-        # The parent's LineageCache entries, shipped so workers start warm
-        # (refresh-then-parallel stays incremental) and export only what
-        # they add beyond the seed.
-        self.cache_seed = cache_seed
 
 
 def _whyso_worker_setup(state: _WhySoFanOutState) -> BatchExplainer:
@@ -706,17 +697,13 @@ def _whyso_worker_setup(state: _WhySoFanOutState) -> BatchExplainer:
     The explainer is constructed on the memory backend (workers never touch
     an execution backend) and then handed the parent's grouped valuations,
     so its ``explain`` runs exactly the serial per-answer step — lineage to
-    n-lineage to ranked causes — without any evaluation.  The parent's
-    cache entries pre-seed the worker cache.
+    n-lineage to ranked causes — without any evaluation.
     """
     explainer = BatchExplainer(state.query, state.database,
                                method=state.method)
     explainer._conjuncts = state.conjuncts
     explainer._full_pass_done = True
     explainer._exogenous = state.exogenous
-    if state.cache_seed:
-        explainer.cache.merge_entries(state.cache_seed)
-    explainer._cache_seed = state.cache_seed
     return explainer
 
 
@@ -725,19 +712,8 @@ def _whyso_worker_explain(explainer: BatchExplainer,
     return explainer.explain(answer)
 
 
-def _whyso_worker_export_cache(explainer: BatchExplainer) -> CacheShard:
-    """Ship the worker's cache contribution back for the commutative merge.
-
-    Only entries beyond the pre-seed travel; counters are the worker's own
-    (see :meth:`~repro.engine.cache.LineageCache.export_shard`).
-    """
-    return explainer.cache.export_shard(
-        baseline=getattr(explainer, "_cache_seed", None))
-
-
 _WHYSO_SPEC = FanOutSpec(compute=_whyso_worker_explain,
-                         setup=_whyso_worker_setup,
-                         finalize=_whyso_worker_export_cache)
+                         setup=_whyso_worker_setup)
 
 
 def explain_batch(engine: Any, targets: List[Answer],
@@ -760,11 +736,12 @@ def explain_batch(engine: Any, targets: List[Answer],
     :mod:`repro.engine._pool`: ``"auto"``, ``"serial"``, ``"fork"``,
     ``"shared-memory"``), claimed in chunks set by ``chunking``
     (``"contiguous"``, the default, or ``"stealing"``).  Memoized targets
-    (e.g. kept across a refresh) are served from the parent.  Afterwards
-    the workers' explanations are memoized and their cache shards merged,
-    leaving the engine exactly as a serial run would — bit-identical
-    results, keyed in the serial target order regardless of the worker
-    count.  A target listed twice is explained, streamed and counted once.
+    (e.g. kept across a refresh) are served from the parent.  Workers
+    return explanations only; afterwards the parent memoizes them, so its
+    explanation memo ends exactly as a serial run would leave it —
+    bit-identical results, keyed in the serial target order regardless of
+    the worker count.  A target listed twice is explained, streamed and
+    counted once.
 
     Every target not already memoized is validated before anything is
     explained or streamed, on every path.  ``on_chunk`` then streams ranked
@@ -775,7 +752,7 @@ def explain_batch(engine: Any, targets: List[Answer],
     chunks stand, the typed :class:`~repro.exceptions.FanOutWorkerError`
     still raises — with ``requested`` naming the whole batch, so a
     streaming consumer can mark exactly which targets were never delivered
-    — and nothing merges.
+    — and nothing is memoized.
 
     The returned :class:`~repro.engine._pool.FanOutResult` is a plain dict
     that additionally reports the transport and the requested vs.
@@ -809,15 +786,12 @@ def explain_batch(engine: Any, targets: List[Answer],
         error.requested = tuple(targets)
         raise
     # Success: adopt the workers' results (a failed fan-out raises above
-    # and merges nothing).  Only Why-So workers return cache shards.
+    # and adopts nothing).
     engine.memo_misses += len(pending)
     engine._explanations.update(result)
-    for shard in result.extras:
-        engine.cache.merge_shard(shard)
     return FanOutResult({t: engine._explanations[t] for t in targets},
                         result.transport, requested,
-                        result.effective_workers, result.extras,
-                        result.state_bytes)
+                        result.effective_workers, result.state_bytes)
 
 
 def batch_explain(query: ConjunctiveQuery, database: Database,

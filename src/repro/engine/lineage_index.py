@@ -17,10 +17,8 @@ the postings live in Python dicts next to them.  The index is rebuilt by
 the delta path: after a refresh re-derives an answer's group, the engine
 calls :meth:`index_answer` (or :meth:`drop_answer`) for exactly the dirty
 answers.  Fan-out workers never mutate valuation groups — they only *read*
-the parent's groups and send back cache entries — so the answer postings
-need no worker merge; the per-tuple key index inside
-:class:`repro.engine.cache.LineageCache` indexes adopted worker entries as
-part of ``merge_entries``.
+the parent's groups and send back explanations — so the postings need no
+worker merge.
 
 Examples
 --------

@@ -1,7 +1,7 @@
 """Rule ``pickle-safety``: only module-level callables cross the fan-out seam.
 
-:class:`repro.engine._pool.FanOutSpec` ships its ``compute``/``setup``/
-``finalize`` callables to worker processes.  The fork transport tolerates
+:class:`repro.engine._pool.FanOutSpec` ships its ``compute``/``setup``
+callables to worker processes.  The fork transport tolerates
 closures by accident of inheritance; the shared-memory and any future spawn
 transport pickle them by qualified name — so a lambda, a nested ``def``, or
 a bound method handed to ``FanOutSpec`` works on one transport and dies on
@@ -20,7 +20,7 @@ from typing import Tuple as TypingTuple
 from ..framework import ModuleContext, Finding, Rule
 
 #: Positional parameter names of ``FanOutSpec(...)``, in order.
-_SPEC_PARAMS = ("compute", "setup", "finalize")
+_SPEC_PARAMS = ("compute", "setup")
 
 
 def _module_level_names(tree: ast.Module) -> Set[str]:
@@ -59,7 +59,7 @@ def _nested_def_names(tree: ast.Module) -> Set[str]:
 
 class PickleSafetyRule(Rule):
     id = "pickle-safety"
-    summary = ("FanOutSpec compute/setup/finalize must be module-level "
+    summary = ("FanOutSpec compute/setup must be module-level "
                "functions — no lambdas, nested defs, or bound methods")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.engine.cache as cache_module
 from repro.core import explain
 from repro.engine import BatchExplainer, LineageCache, batch_explain
 from repro.exceptions import CausalityError
@@ -93,17 +94,24 @@ class TestSharedState:
             assert explainer.n_lineage_of(answer) == \
                 n_lineage(rs_query.bind(answer), db, simplify=True)
 
-    def test_cache_shared_across_explainers(self, example22_db, rs_query):
-        # method="exact" routes through the lineage cache (auto would dispatch
-        # this linear query to the flow engine, which keeps its own state).
+    @pytest.mark.parametrize("full_pass", [False, True],
+                             ids=["lazy", "after-pass"])
+    def test_n_lineage_of_rejects_non_answers(self, example22_db, rs_query,
+                                              full_pass):
+        # Like explain(), never a silent empty lineage for a non-answer.
         db, _ = example22_db
-        cache = LineageCache()
-        BatchExplainer(rs_query, db, method="exact", cache=cache).explain_all()
-        misses_after_first = cache.misses
-        assert misses_after_first > 0
-        BatchExplainer(rs_query, db, method="exact", cache=cache).explain_all()
-        assert cache.misses == misses_after_first
-        assert cache.hits >= misses_after_first
+        explainer = BatchExplainer(rs_query, db)
+        if full_pass:
+            explainer.answers()
+        with pytest.raises(CausalityError, match="not an answer") as error:
+            explainer.n_lineage_of(("zz",))
+        with pytest.raises(CausalityError) as explain_error:
+            explainer.explain(("zz",))
+        assert str(error.value) == str(explain_error.value)
+        with pytest.raises(CausalityError, match="needs the answer tuple"):
+            explainer.n_lineage_of(None)
+        assert explainer.n_lineage_of(("a4",)) == \
+            n_lineage(rs_query.bind(("a4",)), db, simplify=True)
 
     def test_auto_dispatches_self_joins_to_exact_engine(self, example22_db):
         # A self-join is never weakly linear for the flow engine; auto must
@@ -185,37 +193,38 @@ class TestSQLiteBackend:
 
 
 class TestLineageCache:
-    def test_get_or_compute_memoizes(self):
-        cache = LineageCache()
+    def test_minimum_contingency_memoizes(self, monkeypatch):
         calls = []
-        assert cache.get_or_compute("k", lambda: calls.append(1) or 41) == 41
-        assert cache.get_or_compute("k", lambda: calls.append(1) or 42) == 41
+        solve = cache_module.minimum_contingency_from_lineage
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "minimum_contingency_from_lineage",
+                            counting)
+        t = Tuple("R", (1,))
+        cache = LineageCache()
+        assert cache.minimum_contingency(PositiveDNF([{t}]), t) == frozenset()
+        assert cache.minimum_contingency(PositiveDNF([{t}]), t) == frozenset()
         assert len(calls) == 1 and (cache.hits, cache.misses) == (1, 1)
 
-    def test_lru_eviction(self):
-        cache = LineageCache(maxsize=2)
-        cache.get_or_compute("a", lambda: 1)
-        cache.get_or_compute("b", lambda: 2)
-        cache.get_or_compute("a", lambda: -1)   # refresh a
-        cache.get_or_compute("c", lambda: 3)    # evicts b
-        assert cache.get_or_compute("b", lambda: 99) == 99  # recomputed
-        assert len(cache) == 2
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            LineageCache(maxsize=0)
-
-    def test_failed_compute_is_not_a_miss(self):
-        # A compute() that raises stores nothing, so it must not skew stats.
-        cache = LineageCache()
-
-        def boom():
+    def test_failed_compute_is_not_a_miss(self, monkeypatch):
+        # A solver that raises stores nothing, so it must not skew stats.
+        def boom(*args, **kwargs):
             raise RuntimeError("lineage solver exploded")
 
+        t = Tuple("R", (1,))
+        phi = PositiveDNF([{t}])
+        cache = LineageCache()
+        monkeypatch.setattr(cache_module, "minimum_contingency_from_lineage",
+                            boom)
         with pytest.raises(RuntimeError):
-            cache.get_or_compute("k", boom)
+            cache.minimum_contingency(phi, t)
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-        assert cache.get_or_compute("k", lambda: 7) == 7
+        assert cache._tuple_keys == {}
+        monkeypatch.undo()
+        assert cache.minimum_contingency(phi, t) == frozenset()
         assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
 
     def test_minimum_contingency_counterfactual(self):
@@ -224,9 +233,3 @@ class TestLineageCache:
         cache = LineageCache()
         assert cache.minimum_contingency(phi, t) == frozenset()
         assert cache.minimum_contingency(phi, Tuple("R", (2,))) is None
-
-    def test_clear_resets_stats(self):
-        cache = LineageCache()
-        cache.get_or_compute("a", lambda: 1)
-        cache.clear()
-        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)

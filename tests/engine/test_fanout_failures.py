@@ -227,8 +227,7 @@ class TestStreamingChunks:
         monkeypatch.setattr(
             batch_module, "_WHYSO_SPEC",
             FanOutSpec(compute=compute,
-                       setup=batch_module._whyso_worker_setup,
-                       finalize=batch_module._whyso_worker_export_cache))
+                       setup=batch_module._whyso_worker_setup))
         chunks = []
         with pytest.raises(FanOutWorkerError) as excinfo:
             explainer.explain_all(workers=2, transport="fork",
@@ -273,8 +272,7 @@ class TestEngineFailures:
         monkeypatch.setattr(
             batch_module, "_WHYSO_SPEC",
             FanOutSpec(compute=compute,
-                       setup=batch_module._whyso_worker_setup,
-                       finalize=batch_module._whyso_worker_export_cache))
+                       setup=batch_module._whyso_worker_setup))
         with pytest.raises(FanOutWorkerError) as excinfo:
             explainer.explain_all(workers=2, transport="fork")
         assert ("a4",) in excinfo.value.targets

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import ExplanationSession
 from repro.engine import BatchExplainer, LineageCache, WhyNoBatchExplainer
-from repro.engine.cache import _key_mentions
 from repro.lineage.boolean_expr import PositiveDNF
 from repro.relational import Database, DatabaseDelta, parse_query
 from repro.relational.tuples import Tuple
@@ -136,24 +135,19 @@ class TestLineageCacheInvalidation:
         t1, t2 = Tuple("R", (1,)), Tuple("R", (2,))
         cache.minimum_contingency(PositiveDNF([{t1}]), t1)
         cache.minimum_contingency(PositiveDNF([{t2}]), t2)
-        assert cache.invalidate_tuple(t1) == 1
+        assert cache.invalidate_tuples([t1]) == 1
         assert len(cache) == 1
         assert cache.minimum_contingency(PositiveDNF([{t2}]), t2) == frozenset()
         assert cache.hits == 1  # the surviving entry still hits
 
-    def test_generic_keys_are_scanned_structurally(self):
+    def test_inspected_tuple_outside_the_lineage_is_indexed(self):
+        # A non-cause's entry (None) is keyed by a tuple its lineage lacks;
+        # invalidating that tuple must still drop it.
         cache = LineageCache()
-        t = Tuple("R", (1,))
-        cache.get_or_compute(("custom", frozenset({t}), 3), lambda: "x")
-        cache.get_or_compute(("custom", "no tuples here"), lambda: "y")
-        assert cache.invalidate_tuple(t) == 1
-        assert len(cache) == 1
-
-    def test_key_mentions_helper(self):
-        t = Tuple("R", (1,))
-        assert _key_mentions(t, frozenset({t}))
-        assert _key_mentions(("a", (t,)), frozenset({t}))
-        assert not _key_mentions(("a", 3.5), frozenset({t}))
+        t1, t2 = Tuple("R", (1,)), Tuple("R", (2,))
+        assert cache.minimum_contingency(PositiveDNF([{t1}]), t2) is None
+        assert cache.invalidate_tuples([t2]) == 1
+        assert len(cache) == 0 and cache._tuple_keys == {}
 
 
 class TestWhyNoRefreshUnits:

@@ -11,4 +11,5 @@ def module_setup(state: object) -> object:
     return state
 
 
-SPEC = FanOutSpec(compute=module_compute, setup=module_setup, finalize=None)
+SPEC = FanOutSpec(compute=module_compute, setup=module_setup)
+BARE = FanOutSpec(module_compute, None)

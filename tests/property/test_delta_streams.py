@@ -9,10 +9,10 @@ backends and for both engines:
   to applying its deltas one ``refresh`` at a time, and to an engine built
   from scratch on the final database;
 * the maintained inverted index ends up *equal* (same postings) to the index
-  a from-scratch full pass builds — including after a parallel ``explain_all``
-  whose workers merged cache entries back into the parent;
+  a from-scratch full pass builds — including after a parallel
+  ``explain_all``;
 * the cache's per-tuple key index stays exactly in sync with the live
-  entries through refreshes, evictions and worker merges.
+  entries through parent-side computes, fan-outs and refreshes.
 
 Why-No is monotone about dropped targets (a target answered at *any*
 intermediate state is gone for good under sequential refresh, while the
@@ -25,7 +25,6 @@ import random
 import pytest
 
 from repro.engine import BatchExplainer, WhyNoBatchExplainer
-from repro.engine.cache import _key_tuples
 from repro.relational import evaluate
 
 from test_incremental import (
@@ -52,18 +51,17 @@ def random_stream(rng, db, length=3):
 
 
 def assert_cache_index_consistent(cache):
-    """The per-tuple key index is exactly the inverse of the live entries."""
-    live = set(cache._entries)
-    indexed = set()
-    for tup, keys in cache.tuple_index().items():
-        assert keys, f"empty posting for {tup!r} left behind"
-        for key in keys:
-            assert key in live, f"index points at evicted entry {key!r}"
-            assert tup in _key_tuples(key)
-            indexed.add(key)
-    for key in live:
-        for tup in _key_tuples(key):
-            assert key in cache.tuple_index()[tup]
+    """The per-tuple key index is exactly the inverse of the live entries.
+
+    A key is (simplified n-lineage, inspected tuple) and mentions the
+    lineage's variables plus the inspected tuple.
+    """
+    expected = {}
+    for key in cache._entries:
+        phi_n, inspected = key
+        for tup in phi_n.variables() | {inspected}:
+            expected.setdefault(tup, set()).add(key)
+    assert cache._tuple_keys == expected
 
 
 class TestWhySoStreams:
@@ -100,21 +98,27 @@ class TestWhySoStreams:
         assert sequential.lineage_index.snapshot() == \
             scratch.lineage_index.snapshot()
 
+    @pytest.mark.parametrize("method", ["auto", "exact"])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(3))
-    def test_stream_after_worker_merge(self, seed, backend, suite_workers):
-        """Parallel fan-out then a stream: the merged-back cache entries and
-        the parent's index both stay exact."""
+    def test_stream_after_fanout(self, seed, backend, method, suite_workers):
+        """Serial work, a fan-out, then a stream: the parent's cache entries
+        and its index both stay exact (``method="exact"`` fills the cache)."""
         rng = random.Random(9500 + seed)
         db = random_instance(rng)
-        explainer = BatchExplainer(QUERY, db, backend=backend)
+        explainer = BatchExplainer(QUERY, db, method=method, backend=backend)
         workers = max(2, suite_workers)
-        explainer.explain_all(workers=workers)  # workers merge cache entries
+        answers = explainer.answers()
+        explainer.explain_all(answers[::2])  # serial: fills the parent cache
+        explainer.explain_all(workers=workers)  # workers return explanations
         assert_cache_index_consistent(explainer.cache)
         deltas = random_stream(rng, db)
         explainer.refresh_all(deltas)
+        assert_cache_index_consistent(explainer.cache)
+        explainer.explain_all(explainer.answers()[::2])  # stale: recomputed
         refreshed = explainer.explain_all(workers=workers)
-        scratch = BatchExplainer(QUERY, db.copy(), backend=backend)
+        scratch = BatchExplainer(QUERY, db.copy(), method=method,
+                                 backend=backend)
         rebuilt = scratch.explain_all()
         assert list(refreshed) == list(rebuilt)
         for answer in rebuilt:

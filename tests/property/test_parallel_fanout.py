@@ -3,8 +3,10 @@
 For random instances, both modes (Why-So / Why-No), both backends and worker
 counts in {1, 2, 3, 7}, ``explain_all`` must be **bit-identical** to the
 serial path — causes, responsibilities, contingencies, ranked-cause
-tiebreaks, result key order, *and* the parent engine's state after the merge
-(explanation memos and :class:`~repro.engine.cache.LineageCache` contents).
+tiebreaks, result key order, *and* the parent's explanation memos after the
+fan-out.  Workers return explanations only: the parent's
+:class:`~repro.engine.cache.LineageCache` is never shipped to them and never
+receives their entries.
 The suite also pins the reporting contract: the
 :class:`~repro.engine._pool.FanOutResult` must say which transport ran and
 how many workers actually did (the pool shrinks to ``min(workers, targets)``
@@ -91,13 +93,8 @@ class TestWhySoEquivalence:
 
     @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
     def test_parent_state_after_merge_equals_serial(self, transport):
-        """Explanation memos and cache contents match a serial run exactly.
-
-        ``method="exact"`` forces the hitting-set engine, so the
-        :class:`LineageCache` actually fills; the fan-out must leave the
-        parent cache with the same entries a serial run computes (hit/miss
-        counters are local by design and excluded).
-        """
+        """Explanation memos match a serial run exactly (``method="exact"``
+        forces the hitting-set engine, whose results the memos carry)."""
         rng = random.Random(11)
         db = random_instance(rng)
         serial_explainer = BatchExplainer(QUERY, db, method="exact")
@@ -108,8 +105,6 @@ class TestWhySoEquivalence:
         pooled = parallel_explainer.explain_all(workers=2,
                                                 transport=transport)
         assert_same_explanations(pooled, serial, transport)
-        assert dict(parallel_explainer.cache.export_entries()) == \
-            dict(serial_explainer.cache.export_entries())
         assert set(parallel_explainer._explanations) == \
             set(serial_explainer._explanations)
         # The merged memos keep serving: a follow-up explain() is identical.
@@ -133,6 +128,36 @@ class TestWhySoEquivalence:
                 parallel_explainer.memo_misses) == \
             (serial_explainer.memo_hits, serial_explainer.memo_misses) == \
             (0, len(keys))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("transport", PROCESS_TRANSPORTS)
+    def test_warm_parent_ships_no_cache(self, transport, backend):
+        """A parent whose cache is warm stages exactly what a cold one does,
+        and a fan-out leaves its cache and counters as they were."""
+        rng = random.Random(11)
+        db = random_instance(rng)
+        answers = BatchExplainer(QUERY, db).answers()
+        if len(answers) < 3:
+            pytest.skip("random instance too small to fan out")
+        first, rest = answers[:len(answers) // 2], answers[len(answers) // 2:]
+        # Serial and lazy (no full pass yet), so the fan-out below stages the
+        # same fresh pass a cold explainer does; only the cache is warm.
+        warm = BatchExplainer(QUERY, db, method="exact", backend=backend)
+        warm.explain_all(first)
+        entries, counters = len(warm.cache), (warm.cache.hits,
+                                              warm.cache.misses)
+        assert entries > 0
+        pooled = warm.explain_all(workers=2, transport=transport)
+        cold = BatchExplainer(QUERY, db, method="exact", backend=backend)
+        cold_pooled = cold.explain_all(rest, workers=2, transport=transport)
+        assert pooled.state_bytes is not None
+        assert pooled.state_bytes == cold_pooled.state_bytes
+        assert (len(warm.cache), warm.cache.hits, warm.cache.misses) == \
+            (entries, *counters)
+        assert len(cold.cache) == 0
+        serial = BatchExplainer(QUERY, db, method="exact",
+                                backend=backend).explain_all()
+        assert_same_explanations(pooled, serial, (transport, backend))
 
     def test_suite_workers_dimension(self, suite_workers):
         """The CI dimension: the whole contract at REPRO_TEST_WORKERS."""
@@ -380,7 +405,7 @@ class TestStealingEquivalence:
         assert str(stealing_err.value) == str(serial_err.value)
 
     def test_stealing_cache_merge_equals_serial(self):
-        """``method="exact"`` fills the cache; stolen-chunk merges match serial."""
+        """``method="exact"``: stolen-chunk explanations and memos match serial."""
         rng = random.Random(11)
         db = random_instance(rng)
         serial_explainer = BatchExplainer(QUERY, db, method="exact")
@@ -390,8 +415,8 @@ class TestStealingEquivalence:
         explainer = BatchExplainer(QUERY, db, method="exact")
         pooled = explainer.explain_all(workers=2, chunking="stealing")
         assert_same_explanations(pooled, serial, "stealing cache")
-        assert dict(explainer.cache.export_entries()) == \
-            dict(serial_explainer.cache.export_entries())
+        assert set(explainer._explanations) == \
+            set(serial_explainer._explanations)
 
 
 class TestPathologicalSkew:

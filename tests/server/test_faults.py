@@ -83,8 +83,7 @@ class TestWorkerDeathMidStream:
             monkeypatch.setattr(
                 batch_module, "_WHYSO_SPEC",
                 FanOutSpec(compute=_exit_on_marked_answer,
-                           setup=batch_module._whyso_worker_setup,
-                           finalize=batch_module._whyso_worker_export_cache))
+                           setup=batch_module._whyso_worker_setup))
             with harness.client() as client:
                 all_answers = client.answers("mem")["answers"]
                 chunks, terminal = client.stream("explain-batch",

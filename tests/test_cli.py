@@ -79,6 +79,23 @@ class TestExplainBatchCommand:
                        or l.strip().startswith("1.")]
         assert len(cause_lines) == 2
 
+    def test_cache_stats_after_fanout_are_the_parents(self, data_file,
+                                                      capsys):
+        # Workers keep their caches: after a fan-out the parent did no
+        # hitting-set work, and the one stats line says so.
+        args = ["explain-batch", "--data", data_file,
+                "--query", "q(x) :- R(x, y), S(y)", "--method", "exact",
+                "--cache-stats"]
+        assert main(args) == 0
+        serial = [l for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("lineage cache")]
+        assert main(args + ["--workers", "2"]) == 0
+        pooled = [l for l in capsys.readouterr().out.splitlines()
+                  if l.startswith("lineage cache")]
+        assert len(serial) == 1 and "0 entries" not in serial[0]
+        assert pooled == ["lineage cache: 0 entries in the parent process, "
+                          "0 hits / 0 misses (0% hit rate)"]
+
     def test_query_without_answers(self, data_file, capsys):
         code = main(["explain-batch", "--data", data_file,
                      "--query", "q(x) :- R(x, 'a9'), S(x)"])
