@@ -386,8 +386,9 @@ def explain(query: ConjunctiveQuery, database: Database,
         For Why-No: either an explicit candidate set of missing tuples, or
         per-variable domains used to generate candidates automatically.
     backend:
-        Execution backend for the valuation pass (Why-So) and the candidate
-        generation (Why-No): ``"memory"`` (default) or ``"sqlite"``.
+        Execution backend for the valuation pass, in both modes:
+        ``"memory"`` (default) or ``"sqlite"``.  Why-No candidates are
+        generated over ``database`` in Python either way.
 
     Returns an :class:`Explanation` whose causes carry exact responsibilities.
 

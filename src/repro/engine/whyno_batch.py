@@ -12,8 +12,8 @@ workload almost all of that work is shared, mirroring the Why-So
   (:func:`repro.lineage.whyno.batch_candidate_missing_tuples`): atoms without
   head variables instantiate to the same candidates for every non-answer, and
   non-answers agreeing on an atom's head projection share its domain product
-  — on the ``sqlite`` backend this is one SQL query per query atom for the
-  entire set;
+  — the same Python generator on both backends, since each keeps the
+  Python-side real database;
 * the combined instance ``D = Dx ∪ ⋃ᵢ Dn(āᵢ)`` is built **once**;
 * **one** open-query valuation pass over ``D`` — through the same pluggable
   evaluator as the Why-So engine — groups witnessing conjuncts by head
@@ -42,13 +42,13 @@ groups to its targets' own candidates and reads the causes off the
 n-lineage, so the results are bit-identical to the serial ones.
 
 On the ``sqlite`` backend the whole construction runs over **one** backend
-session: the real database is loaded once, serves the actual-answer check
-and the candidate generation, and is then mutated in place (all real tuples
-flipped exogenous, candidates inserted) into the combined instance for the
-shared valuation pass — the historical second load is gone.  The same seam
-powers :meth:`WhyNoBatchExplainer.refresh`: a recorded change to the real
-database is translated into a combined-instance delta and only the touched
-valuation groups are re-evaluated.
+session: the real database is loaded once, serves the actual-answer check,
+and is then mutated in place (all real tuples flipped exogenous, candidates
+inserted) into the combined instance for the shared valuation pass — the
+historical second load is gone.  The same seam powers
+:meth:`WhyNoBatchExplainer.refresh`: a recorded change to the real database
+is translated into a combined-instance delta and only the touched valuation
+groups are re-evaluated.
 """
 
 from __future__ import annotations
@@ -169,9 +169,11 @@ class WhyNoBatchExplainer:
     max_candidates:
         Optional per-non-answer safety limit for generated candidates.
     backend:
-        ``"memory"`` (default) or ``"sqlite"`` — used for both candidate
-        generation and the combined-instance valuation pass, exactly like
-        the Why-So engine's backend seam.
+        ``"memory"`` (default) or ``"sqlite"`` — where the actual-answer
+        check and the combined-instance valuation pass run, exactly like
+        the Why-So engine's backend seam.  Candidates are generated by
+        :func:`repro.lineage.whyno.batch_candidate_missing_tuples` over
+        ``database`` on either backend.
 
     Examples
     --------
@@ -216,65 +218,70 @@ class WhyNoBatchExplainer:
             else frozenset(candidates)
 
         # One session — hence one backend load — for the whole construction:
-        # the same loaded snapshot of the real database serves the
-        # actual-answer check and the candidate generation, then is turned
-        # in place into the combined-instance session for the shared
-        # valuation pass (``into_whyno_combined``).  Which backend does the
-        # work stays behind the seam; ``open_session`` also rejects unknown
-        # backend names.
+        # the loaded snapshot of the real database serves the actual-answer
+        # check, then is turned in place into the combined-instance session
+        # for the shared valuation pass (``into_whyno_combined``).  Which
+        # backend does the work stays behind the seam; ``open_session`` also
+        # rejects unknown backend names.
         real_session = open_session(database, backend=backend)
-        real_evaluator = real_session.evaluator
+        try:
+            real_evaluator = real_session.evaluator
 
-        if query.is_boolean:
-            targets = [()] if non_answers is None \
-                else [tuple(a) for a in non_answers]
+            if query.is_boolean:
+                targets = [()] if non_answers is None \
+                    else [tuple(a) for a in non_answers]
+                for target in targets:
+                    if target != ():
+                        raise CausalityError("a Boolean query takes no answer tuple")
+                targets = targets[:1]
+            else:
+                if non_answers is None:
+                    raise CausalityError(
+                        "a non-Boolean query needs the non-answer tuples to explain"
+                    )
+                targets = list(dict.fromkeys(tuple(a) for a in non_answers))
+            # Reject actual answers up front, like the per-non-answer path — but
+            # through one shared evaluator, so the real database is indexed once
+            # for the whole batch instead of once per membership check.  A single
+            # target keeps the cheaper short-circuiting bound check; many targets
+            # amortise one open-query answer set — already computed when
+            # :meth:`for_missing_answers` constructed the batch (bind() still
+            # validates arity and head-constant consistency per target).
+            actual = _actual_answers
+            checker = None if actual is not None else real_evaluator
+            if checker is not None and not query.is_boolean and len(targets) > 1:
+                actual = checker.answers(query)
             for target in targets:
-                if target != ():
-                    raise CausalityError("a Boolean query takes no answer tuple")
-            targets = targets[:1]
-        else:
-            if non_answers is None:
-                raise CausalityError(
-                    "a non-Boolean query needs the non-answer tuples to explain"
-                )
-            targets = list(dict.fromkeys(tuple(a) for a in non_answers))
-        # Reject actual answers up front, like the per-non-answer path — but
-        # through one shared evaluator, so the real database is indexed once
-        # for the whole batch instead of once per membership check.  A single
-        # target keeps the cheaper short-circuiting bound check; many targets
-        # amortise one open-query answer set — already computed when
-        # :meth:`for_missing_answers` constructed the batch (bind() still
-        # validates arity and head-constant consistency per target).
-        actual = _actual_answers
-        checker = None if actual is not None else real_evaluator
-        if checker is not None and not query.is_boolean and len(targets) > 1:
-            actual = checker.answers(query)
-        for target in targets:
-            bound = query.bind(target)  # validates arity and head constants
-            is_answer = (target in actual) if actual is not None \
-                else checker.holds(bound)
-            if is_answer:
-                raise CausalityError(
-                    f"{target!r} is an answer on this database; use mode='why-so'"
-                )
-        self.non_answers: List[Answer] = targets
+                bound = query.bind(target)  # validates arity and head constants
+                is_answer = (target in actual) if actual is not None \
+                    else checker.holds(bound)
+                if is_answer:
+                    raise CausalityError(
+                        f"{target!r} is an answer on this database; use mode='why-so'"
+                    )
+            self.non_answers: List[Answer] = targets
 
-        if self._explicit_candidates is not None:
-            per_answer = {t: self._explicit_candidates for t in targets}
-        else:
-            per_answer = real_session.batch_whyno_candidates(
-                query, targets, domains=domains,
-                max_candidates=max_candidates)
-        self._per_answer_candidates: Dict[Answer, FrozenSet[Tuple]] = per_answer
-        union: FrozenSet[Tuple] = frozenset().union(*per_answer.values()) \
-            if per_answer else frozenset()
-        self.combined = build_whyno_instance(database, union)
-        session = real_session.into_whyno_combined(self.combined, union)
-        # The sibling Why-So engine supplies the shared machinery: pluggable
-        # evaluator over the combined instance, one open-query pass grouped
-        # by head tuple, and the lazy bound-query path for single targets.
-        self._inner = BatchExplainer(query, self.combined, method="exact",
-                                     session=session)
+            if self._explicit_candidates is not None:
+                per_answer = {t: self._explicit_candidates for t in targets}
+            else:
+                per_answer = batch_candidate_missing_tuples(
+                    query, database, targets, domains=domains,
+                    max_candidates=max_candidates)
+            self._per_answer_candidates: Dict[Answer, FrozenSet[Tuple]] = per_answer
+            union: FrozenSet[Tuple] = frozenset().union(*per_answer.values()) \
+                if per_answer else frozenset()
+            self.combined = build_whyno_instance(database, union)
+            session = real_session.into_whyno_combined(self.combined, union)
+            # The sibling Why-So engine supplies the shared machinery: pluggable
+            # evaluator over the combined instance, one open-query pass grouped
+            # by head tuple, and the lazy bound-query path for single targets.
+            self._inner = BatchExplainer(query, self.combined, method="exact",
+                                         session=session)
+        except BaseException:
+            # A rejected target, a blown max_candidates or a candidate the
+            # backend cannot store must not leak the real-database load.
+            real_session.close()
+            raise
         # non-answer -> Explanation, kept across refreshes when untouched.
         self._explanations: Dict[Answer, Explanation] = {}
         # Served-from-memo vs computed counts, as on BatchExplainer.

@@ -7,7 +7,10 @@ the endogenous tuples.  The paper defers the computation of ``Dn`` to prior
 work (Huang et al. [15]); this module provides a faithful, self-contained
 substitute: candidate tuples are generated by instantiating the query atoms
 over (a superset of) the active domain so that at least one new valuation for
-``ā`` would be created.
+``ā`` would be created.  This is the only candidate generator: it reads the
+Python-side :class:`~repro.relational.database.Database`, which both
+execution backends keep, so the batched Why-No engine calls it whichever
+backend runs the valuation pass.
 
 The output of :func:`build_whyno_instance` is a regular
 :class:`~repro.relational.database.Database`, so every downstream algorithm
@@ -43,7 +46,6 @@ def candidate_missing_tuples(
     database: Database,
     domains: Optional[Mapping[str, Iterable[Any]]] = None,
     max_candidates: Optional[int] = None,
-    backend: str = "memory",
 ) -> FrozenSet[Tuple]:
     """Candidate missing tuples for a Boolean non-answer query.
 
@@ -66,13 +68,6 @@ def candidate_missing_tuples(
     max_candidates:
         Optional safety limit; a :class:`CausalityError` is raised when the
         candidate set would exceed it.
-    backend:
-        ``"memory"`` (default) enumerates the domain product in Python;
-        ``"sqlite"`` delegates to
-        :func:`repro.relational.sqlite_backend.sql_candidate_missing_tuples`,
-        which runs the product as ``SELECT DISTINCT`` over temporary domain
-        tables with an ``EXCEPT`` against the base relations.  Both produce
-        the same candidate set.
 
     Examples
     --------
@@ -83,13 +78,6 @@ def candidate_missing_tuples(
     >>> sorted(map(repr, candidate_missing_tuples(q, db)))
     ["R('a', 'a')", "R('b', 'a')", "R('b', 'b')", "S('a')", "S('b')"]
     """
-    if backend not in ("memory", "sqlite"):
-        raise CausalityError(f"unknown backend {backend!r}")
-    if backend == "sqlite":
-        from ..relational.sqlite_backend import sql_candidate_missing_tuples
-
-        return sql_candidate_missing_tuples(
-            query, database, domains=domains, max_candidates=max_candidates)
     if not query.is_boolean:
         raise CausalityError(
             "candidate generation expects a Boolean query; bind the non-answer first"
@@ -108,7 +96,6 @@ def batch_candidate_missing_tuples(
     non_answers: Iterable[Sequence[Any]],
     domains: Optional[Mapping[str, Iterable[Any]]] = None,
     max_candidates: Optional[int] = None,
-    backend: str = "memory",
 ) -> Dict[TypingTuple[Any, ...], FrozenSet[Tuple]]:
     """Candidate missing tuples for a whole *set* of non-answers, in one pass.
 
@@ -138,12 +125,6 @@ def batch_candidate_missing_tuples(
     max_candidates:
         Optional per-non-answer safety limit, as in
         :func:`candidate_missing_tuples`.
-    backend:
-        ``"memory"`` (default) enumerates per-atom domain products in Python;
-        ``"sqlite"`` delegates to
-        :func:`repro.relational.sqlite_backend.sql_batch_candidate_missing_tuples`,
-        which runs one SQL query per query atom for the *whole* non-answer
-        set.
 
     Returns
     -------
@@ -162,15 +143,6 @@ def batch_candidate_missing_tuples(
     >>> per_answer[("a",)] == candidate_missing_tuples(q.bind(("a",)), db)
     True
     """
-    if backend not in ("memory", "sqlite"):
-        raise CausalityError(f"unknown backend {backend!r}")
-    if backend == "sqlite":
-        from ..relational.sqlite_backend import sql_batch_candidate_missing_tuples
-
-        return sql_batch_candidate_missing_tuples(
-            query, database, non_answers, domains=domains,
-            max_candidates=max_candidates)
-
     targets = [tuple(a) for a in non_answers]
     result: Dict[TypingTuple[Any, ...], FrozenSet[Tuple]] = {}
     if not targets:
@@ -263,7 +235,6 @@ def whyno_instance_for_answer(
     answer: Sequence[Any] = (),
     domains: Optional[Mapping[str, Iterable[Any]]] = None,
     max_candidates: Optional[int] = None,
-    backend: str = "memory",
 ) -> TypingTuple[ConjunctiveQuery, Database]:
     """Convenience wrapper: bind the non-answer, generate candidates, build D.
 
@@ -278,6 +249,6 @@ def whyno_instance_for_answer(
         )
     candidates = candidate_missing_tuples(
         boolean_query, database, domains=domains,
-        max_candidates=max_candidates, backend=backend
+        max_candidates=max_candidates
     )
     return boolean_query, build_whyno_instance(database, candidates)

@@ -38,8 +38,6 @@ from .session import (
 from .sqlite_backend import (
     SQLiteDatabase,
     SQLiteEvaluator,
-    sql_batch_candidate_missing_tuples,
-    sql_candidate_missing_tuples,
     valuation_sql,
 )
 from .tuples import Tuple, make_tuple
@@ -74,7 +72,5 @@ __all__ = [
     "open_session",
     "parse_atom",
     "parse_query",
-    "sql_batch_candidate_missing_tuples",
-    "sql_candidate_missing_tuples",
     "valuation_sql",
 ]

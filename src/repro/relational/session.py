@@ -24,31 +24,22 @@ Both backends implement the same interface, so the delta-aware engines
 lineage inverted index those refreshes probe is not part of the seam: the
 valuation groups it is built from are Python data on both backends, so the
 engines keep one :class:`~repro.engine.lineage_index.LineageIndex` of their
-own whichever session they run on.
+own whichever session they run on.  Nor is Why-No candidate generation: the
+one generator of :mod:`repro.lineage.whyno` reads the Python-side
+:class:`~repro.relational.database.Database` every session keeps, and the
+seam only turns the real-database session into the combined-instance one
+(:meth:`~BackendSession.into_whyno_combined`).
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Mapping,
-    Optional,
-    Sequence,
-)
-from typing import Tuple as TypingTuple
+from typing import Any, Dict, FrozenSet, Optional
 
 from ..exceptions import CausalityError
 from .database import Database
 from .delta import DatabaseDelta
 from .evaluation import QueryEvaluator
-from .query import ConjunctiveQuery
 from .tuples import Tuple
-
-#: A (non-)answer head tuple, as the batch engines key their maps.
-Answer = TypingTuple[Any, ...]
 
 
 class BackendSession:
@@ -101,21 +92,6 @@ class BackendSession:
         True
         """
         return self.database
-
-    def batch_whyno_candidates(
-            self, query: ConjunctiveQuery,
-            non_answers: Sequence[Answer],
-            domains: Optional[Mapping[str, Iterable[Any]]] = None,
-            max_candidates: Optional[int] = None,
-    ) -> Dict[Answer, FrozenSet[Tuple]]:
-        """Per-non-answer candidate insertions, generated where the data lives.
-
-        This is the Why-No half of the seam: the engine asks the session for
-        ``{non_answer: candidate tuples}`` and never learns whether the
-        generation ran as Python products over the instance or as SQL over
-        the loaded snapshot.
-        """
-        raise NotImplementedError
 
     def into_whyno_combined(self, combined: Database,
                             candidates: FrozenSet[Tuple]) -> "BackendSession":
@@ -233,18 +209,6 @@ class MemorySession(BackendSession):
     def snapshot(self) -> Database:
         return self.database
 
-    def batch_whyno_candidates(
-            self, query: ConjunctiveQuery,
-            non_answers: Sequence[Answer],
-            domains: Optional[Mapping[str, Iterable[Any]]] = None,
-            max_candidates: Optional[int] = None,
-    ) -> Dict[Answer, FrozenSet[Tuple]]:
-        from ..lineage.whyno import batch_candidate_missing_tuples
-
-        return batch_candidate_missing_tuples(
-            query, self.database, non_answers, domains=domains,
-            max_candidates=max_candidates)
-
     def into_whyno_combined(self, combined: Database,
                             candidates: FrozenSet[Tuple]) -> "BackendSession":
         return MemorySession(combined)
@@ -304,18 +268,6 @@ class SQLiteSession(BackendSession):
 
     def snapshot(self) -> Any:
         return self.sqlite
-
-    def batch_whyno_candidates(
-            self, query: ConjunctiveQuery,
-            non_answers: Sequence[Answer],
-            domains: Optional[Mapping[str, Iterable[Any]]] = None,
-            max_candidates: Optional[int] = None,
-    ) -> Dict[Answer, FrozenSet[Tuple]]:
-        from .sqlite_backend import sql_batch_candidate_missing_tuples
-
-        return sql_batch_candidate_missing_tuples(
-            query, self.database, non_answers, domains=domains,
-            max_candidates=max_candidates, backend=self.sqlite)
 
     def into_whyno_combined(self, combined: Database,
                             candidates: FrozenSet[Tuple]) -> "BackendSession":

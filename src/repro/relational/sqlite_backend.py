@@ -11,7 +11,7 @@ renderer of :mod:`repro.datalog.sql` assumes:
 * the ``R__endo`` / ``R__exo`` partition views created by
   :func:`~repro.datalog.sql.partition_view_sql`.
 
-On top of that layout three execution services are provided:
+On top of that layout two execution services are provided:
 
 * :meth:`SQLiteDatabase.execute_program` runs a program rendered by
   :func:`~repro.datalog.sql.program_to_sql` and returns its answer rows;
@@ -24,14 +24,11 @@ On top of that layout three execution services are provided:
   variable assignment and matched tuples included.  This is what lets
   :class:`~repro.engine.batch.BatchExplainer` push its open-query pass into
   the DBMS (``backend="sqlite"``) for instances that should not live in the
-  in-memory evaluator;
-* :func:`sql_candidate_missing_tuples` pushes the Why-No candidate
-  generation of :mod:`repro.lineage.whyno` (a product over per-variable
-  domains, minus the existing tuples) into SQL as a ``SELECT DISTINCT``
-  over temporary domain tables with an ``EXCEPT`` against the base relation;
-  :func:`sql_batch_candidate_missing_tuples` is its batched twin — one such
-  query per query atom covers an entire non-answer set by joining a
-  temporary table of the non-answer head tuples.
+  in-memory evaluator.
+
+Why-No candidate generation is not a backend service: both backends hold the
+Python-side :class:`~repro.relational.database.Database`, and the one
+generator of :mod:`repro.lineage.whyno` runs over it.
 
 The backend snapshots the database at construction time; a recorded change
 (:class:`~repro.relational.delta.DatabaseDelta`) can then be applied *in
@@ -52,7 +49,6 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -62,7 +58,7 @@ from typing import (
     Tuple as TypingTuple,
 )
 
-from ..exceptions import BackendError, CausalityError
+from ..exceptions import BackendError
 from .database import Database
 from .delta import DatabaseDelta
 from .evaluation import Valuation
@@ -90,19 +86,7 @@ def _check_relation_name(relation: str) -> None:
             f"relation name {relation!r} collides with the per-column "
             "indexes (tables and indexes share SQLite's namespace)"
         )
-    if relation.startswith("__dom_") or relation == "__whyno_heads":
-        # The temp schema shadows main for unqualified names, so a user
-        # relation with a Why-No scratch-table name would silently be read
-        # as candidate data during sql_batch_candidate_missing_tuples.
-        raise BackendError(
-            f"relation name {relation!r} collides with the Why-No "
-            "temporary tables"
-        )
 
-
-#: Internal scratch tables of the Why-No candidate pass — reserved above,
-#: and accepted verbatim by :func:`quote_identifier`.
-_WHYNO_TEMP_RE = re.compile(r"^(__dom_\d+|__whyno_heads)$")
 
 #: Suffixes the backend derives from a relation name (partition views,
 #: per-column indexes).
@@ -113,14 +97,12 @@ def quote_identifier(name: str) -> str:
     """Validate ``name`` and return it double-quoted for use in SQL text.
 
     This is the single choke point every interpolated identifier (relation,
-    view, index, temp table) must pass through — the ``sql-quoting`` lint
-    rule enforces exactly that.  Validation reduces derived names (partition
-    views, per-column indexes) to their base relation and holds that base to
-    :func:`_check_relation_name`'s reserved-name rules; the backend's own
-    scratch names (``__dom_N``, ``__whyno_heads``) are accepted as
-    themselves.  Quoting is otherwise semantics-preserving for plain
-    identifiers, and lets relation names that are SQL keywords (``Order``,
-    ``Group``) work instead of erroring.
+    view, index) must pass through — the ``sql-quoting`` lint rule enforces
+    exactly that.  Validation reduces derived names (partition views,
+    per-column indexes) to their base relation and holds that base to
+    :func:`_check_relation_name`'s reserved-name rules.  Quoting is otherwise
+    semantics-preserving for plain identifiers, and lets relation names that
+    are SQL keywords (``Order``, ``Group``) work instead of erroring.
 
     Examples
     --------
@@ -136,8 +118,7 @@ def quote_identifier(name: str) -> str:
     if not _IDENTIFIER_RE.match(name):
         raise BackendError(
             f"SQL identifier {name!r} is not a plain identifier")
-    if _WHYNO_TEMP_RE.match(name) is None:
-        _check_relation_name(_DERIVED_SUFFIX_RE.sub("", name))
+    _check_relation_name(_DERIVED_SUFFIX_RE.sub("", name))
     return f'"{name}"'
 
 
@@ -737,233 +718,3 @@ class SQLiteEvaluator:
 
     def __repr__(self) -> str:
         return f"SQLiteEvaluator({self.backend!r})"
-
-
-# --------------------------------------------------------------------------- #
-# Why-No candidate generation in SQL
-# --------------------------------------------------------------------------- #
-def sql_candidate_missing_tuples(
-    query: ConjunctiveQuery,
-    database: Database,
-    domains: Optional[Mapping[str, Iterable[Any]]] = None,
-    max_candidates: Optional[int] = None,
-    backend: Optional[SQLiteDatabase] = None,
-) -> FrozenSet[Tuple]:
-    """SQL twin of :func:`repro.lineage.whyno.candidate_missing_tuples`.
-
-    The in-memory generator enumerates the full product of per-variable
-    domains in Python; here each variable's domain becomes a temporary table
-    and each query atom contributes one ``SELECT DISTINCT`` over the domain
-    tables of *its* variables, ``EXCEPT`` the rows already present in the base
-    relation.  Projecting the product per atom is sound because a candidate
-    only depends on the variables of its atom — provided no variable has an
-    empty domain, in which case the product (and hence the candidate set) is
-    empty, checked up front.
-
-    Examples
-    --------
-    >>> from repro.relational import Database, parse_query
-    >>> db = Database()
-    >>> _ = db.add_fact("R", "a", "b")
-    >>> candidates = sql_candidate_missing_tuples(
-    ...     parse_query("q :- R(x, y), S(y)"), db)
-    >>> sorted(map(repr, candidates))
-    ["R('a', 'a')", "R('b', 'a')", "R('b', 'b')", "S('a')", "S('b')"]
-    """
-    if not query.is_boolean:
-        raise CausalityError(
-            "candidate generation expects a Boolean query; bind the non-answer first"
-        )
-    # The single-answer view of the batched generator: a Boolean query is a
-    # batch with the one (empty) non-answer — no heads table, one
-    # SELECT DISTINCT ... EXCEPT per atom, exactly the statement shape
-    # described above.
-    return sql_batch_candidate_missing_tuples(
-        query, database, [()], domains=domains,
-        max_candidates=max_candidates, backend=backend)[()]
-
-
-def sql_batch_candidate_missing_tuples(
-    query: ConjunctiveQuery,
-    database: Database,
-    non_answers: Iterable[Sequence[Any]],
-    domains: Optional[Mapping[str, Iterable[Any]]] = None,
-    max_candidates: Optional[int] = None,
-    backend: Optional[SQLiteDatabase] = None,
-) -> Dict[TypingTuple[Any, ...], FrozenSet[Tuple]]:
-    """Why-No candidates for a whole non-answer set: one SQL query per atom.
-
-    SQL twin of :func:`repro.lineage.whyno.batch_candidate_missing_tuples`
-    (which it backs for ``backend="sqlite"``): the non-answer head tuples are
-    loaded into a ``__whyno_heads`` temporary table, each non-head variable's
-    domain into a ``__dom_i`` table, and every query atom contributes a
-    single ``SELECT DISTINCT`` joining the heads table (for its head-variable
-    positions) with the domain tables (for the rest), ``EXCEPT`` the rows
-    already in the base relation — one domain-product query per atom for the
-    *entire* non-answer set instead of one per (atom, non-answer) pair.
-
-    Because every head variable of an atom occupies a column of that atom,
-    each result row carries its own head projection; grouping the non-answers
-    by projection attributes every candidate to exactly the non-answers whose
-    bound query would have generated it, so the returned per-answer sets are
-    identical to ``sql_candidate_missing_tuples(query.bind(ā), ...)``.
-
-    Returns ``{non_answer: frozenset(candidates)}`` keyed in first-seen
-    order; ``max_candidates`` bounds each per-answer set, as in the
-    per-answer generator.
-
-    Examples
-    --------
-    >>> from repro.relational import Database, parse_query
-    >>> db = Database()
-    >>> _ = db.add_fact("R", "a", "b")
-    >>> per_answer = sql_batch_candidate_missing_tuples(
-    ...     parse_query("q(x) :- R(x, y), S(y)"), db, [("a",), ("c",)])
-    >>> sorted(map(repr, per_answer[("a",)]))
-    ["R('a', 'a')", "S('a')", "S('b')"]
-    """
-    from ..datalog.sql import default_column
-
-    targets: List[TypingTuple[Any, ...]] = []
-    seen: Set[TypingTuple[Any, ...]] = set()
-    for answer in non_answers:
-        key = tuple(answer)
-        if key not in seen:
-            seen.add(key)
-            targets.append(key)
-    result: Dict[TypingTuple[Any, ...], FrozenSet[Tuple]] = {}
-    if not targets:
-        return result
-
-    # bind() validates arity and head-constant consistency; the mapping it
-    # applies is what the heads table and the attribution index are built on.
-    head_variables = sorted(
-        {t for t in query.head if isinstance(t, Variable)},
-        key=lambda v: v.name)
-    mappings: Dict[TypingTuple[Any, ...], Dict[Variable, Any]] = {}
-    for key in targets:
-        query.bind(key)
-        mappings[key] = {term: value for term, value in zip(query.head, key)
-                         if isinstance(term, Variable)}
-
-    adom = sorted(database.active_domain(), key=repr)
-    head_set = frozenset(head_variables)
-    open_variables = sorted(query.variables() - head_set,
-                            key=lambda v: v.name)
-    variable_domains: Dict[Variable, List[Any]] = {}
-    for variable in open_variables:
-        if domains is not None and variable.name in domains:
-            variable_domains[variable] = list(domains[variable.name])
-        else:
-            variable_domains[variable] = list(adom)
-    if any(not values for values in variable_domains.values()):
-        # Some bound-query variable has an empty domain: the per-answer
-        # product is empty for every non-answer.
-        return {key: frozenset() for key in targets}
-
-    for variable, values in variable_domains.items():
-        for value in values:
-            _check_value(f"domain of {variable.name}", value)
-    for key in targets:
-        for variable, value in mappings[key].items():
-            _check_value(f"non-answer binding of {variable.name}", value)
-
-    db = backend if backend is not None else SQLiteDatabase(database)
-    connection = db.connection
-    per_answer: Dict[TypingTuple[Any, ...], Set[Tuple]] = {
-        key: set() for key in targets}
-
-    def note(key: TypingTuple[Any, ...], candidate: Tuple) -> None:
-        per_answer[key].add(candidate)
-        if max_candidates is not None and len(per_answer[key]) > max_candidates:
-            raise CausalityError(
-                f"candidate set exceeds max_candidates={max_candidates}; "
-                "restrict the variable domains"
-            )
-
-    temp_tables: List[str] = []
-    domain_tables: Dict[Variable, str] = {}
-    head_column = {var: f"h{i}" for i, var in enumerate(head_variables)}
-    try:
-        for index, variable in enumerate(open_variables):
-            name = f"__dom_{index}"
-            # Register before CREATE so cleanup covers partial failures.
-            temp_tables.append(name)
-            domain_tables[variable] = name
-            connection.execute(
-                f"CREATE TEMP TABLE {quote_identifier(name)} (v)")
-            connection.executemany(
-                f"INSERT INTO {quote_identifier(name)} VALUES (?)",
-                [(value,) for value in variable_domains[variable]])
-        if head_variables:
-            temp_tables.append("__whyno_heads")
-            columns = ", ".join(head_column[v] for v in head_variables)
-            connection.execute(f"CREATE TEMP TABLE __whyno_heads ({columns})")
-            projections = {tuple(mappings[key][v] for v in head_variables)
-                           for key in targets}
-            placeholders = ", ".join("?" for _ in head_variables)
-            connection.executemany(
-                f"INSERT INTO __whyno_heads VALUES ({placeholders})",
-                sorted(projections, key=lambda row: tuple(map(repr, row))))
-
-        for atom in query.atoms:
-            atom_vars = sorted(atom.variables(), key=lambda v: v.name)
-            atom_head = [v for v in atom_vars if v in head_set]
-            atom_open = [v for v in atom_vars if v not in head_set]
-            # Group the non-answers by their projection onto this atom's head
-            # variables: equal projections share the atom's candidates.
-            groups: Dict[TypingTuple[Any, ...],
-                         List[TypingTuple[Any, ...]]] = {}
-            for key in targets:
-                projection = tuple(mappings[key][v] for v in atom_head)
-                groups.setdefault(projection, []).append(key)
-            if not atom_vars:
-                # All-constant atom: a single candidate, resolved in Python.
-                tup = Tuple(atom.relation,
-                            tuple(term.value for term in atom.terms))
-                if not database.contains(tup):
-                    for key in targets:
-                        note(key, tup)
-                continue
-            aliases = {var: f"d{j}" for j, var in enumerate(atom_open)}
-            select_items: List[str] = []
-            params: List[Any] = []
-            projection_positions: List[int] = []
-            position_of: Dict[Variable, int] = {}
-            for position, term in enumerate(atom.terms):
-                target_col = default_column(position)
-                if isinstance(term, Variable) and term in head_set:
-                    select_items.append(
-                        f"h.{head_column[term]} AS {target_col}")
-                    position_of.setdefault(term, position)
-                elif isinstance(term, Variable):
-                    select_items.append(f"{aliases[term]}.v AS {target_col}")
-                else:
-                    assert isinstance(term, Constant)
-                    select_items.append(f"? AS {target_col}")
-                    params.append(term.value)
-            projection_positions = [position_of[v] for v in atom_head]
-            # Each FROM part is quoted here, so the composite join is safe.
-            heads_part = f"{quote_identifier('__whyno_heads')} AS h"
-            from_parts = ([heads_part] if atom_head else []) + [
-                f"{quote_identifier(domain_tables[var])} AS {aliases[var]}"
-                for var in atom_open]
-            sql = (
-                f"SELECT DISTINCT {', '.join(select_items)}"
-                f" FROM {', '.join(from_parts)}")  # repro-lint: ignore[sql-quoting]
-            if (atom.relation in db.relations()
-                    and db.arity_of(atom.relation) == atom.arity):
-                columns = ", ".join(
-                    default_column(p) for p in range(atom.arity))
-                sql += (f" EXCEPT SELECT {columns} "
-                        f"FROM {quote_identifier(atom.relation)}")
-            for row in connection.execute(sql, params):
-                tup = Tuple(atom.relation, tuple(row))
-                projection = tuple(row[p] for p in projection_positions)
-                for key in groups.get(projection, ()):
-                    note(key, tup)
-    finally:
-        for name in temp_tables:
-            connection.execute(
-                f"DROP TABLE IF EXISTS {quote_identifier(name)}")
-    return {key: frozenset(values) for key, values in per_answer.items()}

@@ -1,10 +1,12 @@
 """Unit tests for the batched Why-No engine (WhyNoBatchExplainer)."""
 
+import sqlite3
+
 import pytest
 
 from repro.core import explain
-from repro.engine import WhyNoBatchExplainer, batch_explain_whyno
-from repro.exceptions import CausalityError
+from repro.engine import WhyNoBatchExplainer, batch_explain_whyno, whyno_batch
+from repro.exceptions import BackendError, CausalityError
 from repro.lineage import (
     batch_candidate_missing_tuples,
     candidate_missing_tuples,
@@ -15,9 +17,8 @@ from repro.relational import (
     Database,
     Tuple,
     database_from_dict,
+    open_session,
     parse_query,
-    sql_batch_candidate_missing_tuples,
-    sql_candidate_missing_tuples,
 )
 
 
@@ -49,18 +50,6 @@ class TestCandidateBatching:
                                                 domains=domains)
             assert batch[na] == expected, na
 
-    def test_sql_batch_matches_memory_batch(self, rst_setup):
-        db, query, domains = rst_setup
-        non_answers = [("a",), ("c",), ("d",)]
-        memory = batch_candidate_missing_tuples(query, db, non_answers,
-                                                domains=domains)
-        sql = sql_batch_candidate_missing_tuples(query, db, non_answers,
-                                                 domains=domains)
-        assert memory == sql
-        for na in non_answers:
-            assert sql[na] == sql_candidate_missing_tuples(
-                query.bind(na), db, domains=domains), na
-
     def test_headless_atoms_generated_once_and_shared(self, rst_setup):
         db, query, domains = rst_setup
         batch = batch_candidate_missing_tuples(query, db, [("a",), ("c",)],
@@ -82,17 +71,12 @@ class TestCandidateBatching:
         with pytest.raises(CausalityError):
             batch_candidate_missing_tuples(query, db, [("a",)],
                                            domains=domains, max_candidates=2)
-        with pytest.raises(CausalityError):
-            sql_batch_candidate_missing_tuples(query, db, [("a",)],
-                                               domains=domains,
-                                               max_candidates=2)
 
     def test_empty_domain_yields_no_candidates(self, rst_setup):
         db, query, _ = rst_setup
-        for backend in ("memory", "sqlite"):
-            batch = batch_candidate_missing_tuples(
-                query, db, [("a",)], domains={"y": []}, backend=backend)
-            assert batch[("a",)] == frozenset()
+        batch = batch_candidate_missing_tuples(
+            query, db, [("a",)], domains={"y": []})
+        assert batch[("a",)] == frozenset()
 
 
 class TestExplainMatchesPerNonAnswer:
@@ -278,6 +262,40 @@ class TestEdgeCases:
             WhyNoBatchExplainer(parse_query("q(x) :- R(x, y)"), db,
                                 non_answers=[("c",)], domains={"y": ["b"]},
                                 candidates=[Tuple("R", ("c", "b"))])
+
+
+class TestConstructionFailureClosesSession:
+    """A constructor that raises after loading the real database into
+    SQLite must close that load instead of leaking the connection."""
+
+    @pytest.mark.parametrize("kwargs, error", [
+        pytest.param({"non_answers": [("a",)]}, CausalityError,
+                     id="actual-answer-target"),
+        pytest.param({"non_answers": [("c",)], "max_candidates": 1},
+                     CausalityError, id="max-candidates-exceeded"),
+        pytest.param({"non_answers": [("c",)], "domains": {"y": [True]}},
+                     BackendError, id="value-sqlite-cannot-store"),
+        pytest.param({"non_answers": [("c",)],
+                      "candidates": [Tuple("S", (True,))]},
+                     BackendError, id="explicit-candidate-sqlite-cannot-store"),
+    ])
+    def test_sqlite_connection_closed(self, monkeypatch, kwargs, error):
+        opened = []
+
+        def recording_open_session(*args, **kw):
+            session = open_session(*args, **kw)
+            opened.append(session)
+            return session
+
+        monkeypatch.setattr(whyno_batch, "open_session",
+                            recording_open_session)
+        db = database_from_dict({"R": [("a", "b")], "S": [("b",)]})
+        with pytest.raises(error):
+            WhyNoBatchExplainer(parse_query("q(x) :- R(x, y), S(y)"), db,
+                                backend="sqlite", **kwargs)
+        [session] = opened
+        with pytest.raises(sqlite3.ProgrammingError):
+            session.snapshot().connection.execute("SELECT 1")
 
 
 class TestForMissingAnswers:

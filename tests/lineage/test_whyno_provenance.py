@@ -8,7 +8,15 @@ from repro.lineage import (
     candidate_missing_tuples,
     whyno_instance_for_answer,
 )
-from repro.relational import Tuple, database_from_dict, evaluate_boolean, parse_query
+from repro.relational import (
+    Atom,
+    ConjunctiveQuery,
+    Constant,
+    Tuple,
+    database_from_dict,
+    evaluate_boolean,
+    parse_query,
+)
 
 
 @pytest.fixture
@@ -33,6 +41,29 @@ class TestCandidateGeneration:
         q = parse_query("q :- R(x, y), S(y)")
         candidates = candidate_missing_tuples(q, small_db, domains={"x": ["a"], "y": ["b"]})
         assert candidates == frozenset({Tuple("S", ("b",))})
+
+    def test_active_domain_product_around_a_constant(self, small_db):
+        q = parse_query("q :- R('a', y), S(y)")
+        assert candidate_missing_tuples(q, small_db) == frozenset({
+            Tuple("R", ("a", "a")), Tuple("R", ("a", "c")),
+            Tuple("S", ("a",)), Tuple("S", ("b",))})
+
+    def test_custom_domains_beyond_the_active_domain(self, small_db):
+        q = parse_query("q :- R(x, y), S(y)")
+        candidates = candidate_missing_tuples(
+            q, small_db, domains={"x": ["a"], "y": ["c", "d"]})
+        assert candidates == frozenset({
+            Tuple("R", ("a", "c")), Tuple("R", ("a", "d")),
+            Tuple("S", ("d",))})
+
+    def test_all_constant_atoms(self, small_db):
+        q = ConjunctiveQuery([
+            Atom("R", [Constant("zz"), Constant("zz")]),
+            Atom("S", [Constant("c")]),
+        ])
+        # S('c') is already present, so only the R atom yields a candidate.
+        assert candidate_missing_tuples(q, small_db) == frozenset(
+            {Tuple("R", ("zz", "zz"))})
 
     def test_max_candidates_guard(self, small_db):
         q = parse_query("q :- R(x, y), S(y)")

@@ -5,19 +5,18 @@ Two regression families:
 * the quoting helper itself — the single choke point the ``sql-quoting``
   lint rule routes every SQL identifier through — must accept exactly the
   names the backend generates and reject everything else;
-* the ``__dom_N`` / ``__whyno_heads`` reservation: SQLite's temp schema
-  shadows ``main`` for unqualified names, so a user relation named like a
-  Why-No scratch table would silently be read as candidate data during the
-  batched candidate pass.  Loading one must fail loudly instead.
+* names the backend does not derive are ordinary relations: ``__dom_N`` and
+  ``__whyno_heads`` load and explain on SQLite exactly as on memory (Why-No
+  candidate generation runs in Python and creates no tables).
 """
 
 import pytest
 
+from repro.engine import WhyNoBatchExplainer
 from repro.exceptions import BackendError
 from repro.relational.database import Database
 from repro.relational.query import parse_query
-from repro.relational.sqlite_backend import (SQLiteDatabase, SQLiteEvaluator,
-                                             quote_identifier)
+from repro.relational.sqlite_backend import SQLiteEvaluator, quote_identifier
 
 
 class TestQuoteIdentifier:
@@ -26,9 +25,8 @@ class TestQuoteIdentifier:
         assert quote_identifier("Movie_2010") == '"Movie_2010"'
 
     def test_backend_derived_names_are_accepted(self):
-        # Partition views, per-column indexes, Why-No scratch tables.
-        for name in ["R__endo", "R__exo", "R__ix0", "R__ix12",
-                     "__dom_0", "__dom_17", "__whyno_heads"]:
+        # Partition views and per-column indexes.
+        for name in ["R__endo", "R__exo", "R__ix0", "R__ix12"]:
             assert quote_identifier(name) == f'"{name}"'
 
     @pytest.mark.parametrize("name", [
@@ -46,7 +44,7 @@ class TestQuoteIdentifier:
         # Derived-name reduction holds the *base* to the relation rules:
         # a name deriving from a reserved relation is itself reserved.
         with pytest.raises(BackendError):
-            quote_identifier("__whyno_heads__ix0")
+            quote_identifier("R__endo__ix0")
 
     def test_sql_keyword_relation_names_are_usable(self):
         # The quoting bonus: relation names that are SQL keywords load and
@@ -59,11 +57,38 @@ class TestQuoteIdentifier:
         assert evaluator.answers(query) == frozenset({("a",)})
 
 
-class TestWhyNoScratchNameReservation:
+class TestUnderscoreNamesAreOrdinaryRelations:
     @pytest.mark.parametrize("relation", ["__dom_0", "__dom_42",
                                           "__whyno_heads"])
-    def test_loading_a_scratch_named_relation_fails_loudly(self, relation):
+    def test_relation_loads_on_sqlite(self, relation):
         database = Database()
         database.add_fact(relation, "a")
-        with pytest.raises(BackendError, match="Why-No temporary tables"):
-            SQLiteDatabase(database)
+        evaluator = SQLiteEvaluator(database)
+        query = parse_query(f"q(x) :- {relation}(x)")
+        assert evaluator.answers(query) == frozenset({("a",)})
+
+    def test_derived_names_follow_the_relation_rules(self):
+        for name in ["__dom_0", "__dom_0__ix0", "__whyno_heads__endo",
+                     "__whyno_heads__ix1"]:
+            assert quote_identifier(name) == f'"{name}"'
+
+    def test_whyno_ranking_matches_memory(self):
+        database = Database()
+        database.add_fact("__dom_0", "a", "b")
+        database.add_fact("__dom_0", "c", "d")
+        database.add_fact("__whyno_heads", "b")
+        query = parse_query("q(x) :- __dom_0(x, y), __whyno_heads(y)")
+        rankings = {}
+        for backend in ("memory", "sqlite"):
+            explainer = WhyNoBatchExplainer(
+                query, database, non_answers=[("c",), ("e",)],
+                domains={"y": ["b", "d", "f"]}, backend=backend)
+            try:
+                rankings[backend] = {
+                    na: [(c.tuple, c.responsibility, c.contingency)
+                         for c in explanation.ranked()]
+                    for na, explanation in explainer.explain_all().items()}
+            finally:
+                explainer.close()
+        assert rankings["sqlite"] == rankings["memory"]
+        assert rankings["memory"][("c",)]

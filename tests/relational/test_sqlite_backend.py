@@ -1,12 +1,12 @@
-"""Tests for the SQLite execution backend (load, valuation pass, Why-No SQL)."""
+"""Tests for the SQLite execution backend (load, valuation pass, Why-No load)."""
 
 import sqlite3
 
 import pytest
 
 from repro.core import actual_causes, generate_cause_program
-from repro.exceptions import BackendError, CausalityError
-from repro.lineage.whyno import candidate_missing_tuples
+from repro.engine import WhyNoBatchExplainer
+from repro.exceptions import BackendError
 from repro.relational import (
     Atom,
     ConjunctiveQuery,
@@ -17,7 +17,6 @@ from repro.relational import (
     SQLiteEvaluator,
     Tuple,
     parse_query,
-    sql_candidate_missing_tuples,
     valuation_sql,
 )
 
@@ -247,72 +246,12 @@ class TestProgramExecution:
             backend.execute_sql("SELECT * FROM Missing")
 
 
-class TestWhyNoCandidatesInSQL:
-    def assert_same_candidates(self, query, database, **kwargs):
-        memory = candidate_missing_tuples(query, database, **kwargs)
-        sqlite_ = sql_candidate_missing_tuples(query, database, **kwargs)
-        assert memory == sqlite_
-        # And through the backend= dispatch of the lineage module.
-        assert candidate_missing_tuples(query, database, backend="sqlite",
-                                        **kwargs) == memory
-
-    def test_active_domain_product(self, example22):
-        self.assert_same_candidates(parse_query("q :- R('a9', y), S(y)"),
-                                    example22)
-
-    def test_custom_domains(self, example22):
-        self.assert_same_candidates(
-            parse_query("q :- R(x, y), S(y)"), example22,
-            domains={"x": ["a1"], "y": ["a5", "a6"]})
-
-    def test_empty_domain_means_no_candidates(self, example22):
-        query = parse_query("q :- R(x, y), S(y)")
-        assert sql_candidate_missing_tuples(query, example22,
-                                            domains={"x": []}) == frozenset()
-
-    def test_all_constant_atoms(self, example22):
-        query = ConjunctiveQuery([
-            Atom("R", [Constant("zz"), Constant("zz")]),
-            Atom("S", [Constant("a1")]),
-        ])
-        self.assert_same_candidates(query, example22)
-
-    def test_max_candidates_enforced(self, example22):
-        query = parse_query("q :- R(x, y), S(y)")
-        with pytest.raises(CausalityError):
-            sql_candidate_missing_tuples(query, example22, max_candidates=2)
-
-    def test_non_boolean_query_rejected(self, example22):
-        with pytest.raises(CausalityError):
-            sql_candidate_missing_tuples(parse_query("q(x) :- R(x, y)"),
-                                         example22)
-
-    def test_unknown_backend_rejected(self, example22):
-        with pytest.raises(CausalityError):
-            candidate_missing_tuples(parse_query("q :- R(x, y)"), example22,
-                                     backend="oracle")
-
-    def test_domain_tables_cleaned_up(self, example22):
-        backend = SQLiteDatabase(example22)
-        sql_candidate_missing_tuples(parse_query("q :- R('a9', y), S(y)"),
-                                     example22, backend=backend)
-        leftovers = backend.connection.execute(
-            "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
-        ).fetchall()
-        assert leftovers == []
-
-    def test_invalid_domain_value_does_not_poison_shared_backend(self,
-                                                                 example22):
-        # A failing call must leave no temp tables behind, or every later
-        # call on a reused backend dies on "table __dom_0 already exists".
-        backend = SQLiteDatabase(example22)
-        query = parse_query("q :- R(x, y), S(y)")
+class TestWhyNoOnSQLite:
+    def test_unstorable_domain_value_raises_backend_error(self, example22):
+        # Candidates are generated in Python on both backends; one SQLite
+        # cannot store surfaces as a typed error when the combined instance
+        # is loaded.
         with pytest.raises(BackendError):
-            sql_candidate_missing_tuples(
-                query, example22, domains={"x": [True], "y": ["a5"]},
-                backend=backend)
-        good = sql_candidate_missing_tuples(
-            query, example22, domains={"x": ["a1"], "y": ["a5"]},
-            backend=backend)
-        assert good == candidate_missing_tuples(
-            query, example22, domains={"x": ["a1"], "y": ["a5"]})
+            WhyNoBatchExplainer(parse_query("q(x) :- R(x, y), S(y)"),
+                                example22, non_answers=[("a9",)],
+                                domains={"y": [True]}, backend="sqlite")
