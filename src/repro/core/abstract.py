@@ -238,7 +238,7 @@ def abstract_query(
         elif endo_set is not None:
             endogenous = atom.relation in endo_set
         elif database is not None:
-            endogenous = len(database.endogenous_tuples(atom.relation)) > 0
+            endogenous = database.has_endogenous(atom.relation)
         else:
             endogenous = True
         label = atom.relation if occurrence == 1 else f"{atom.relation}#{occurrence}"

@@ -22,6 +22,29 @@ on the instance: dominated atoms keep their tuples but become exogenous, and
 dissociated (exogenous) atoms have their tuples extended with every value of
 the added variables — which changes neither the query answer nor the
 contingencies (Lemma 4.10).
+
+:class:`FlowEngine` builds the network over the query's *lineage*, the tuples
+that occur in some valuation of the bound query, not over the whole database.
+This is sound for three reasons:
+
+* responsibility depends only on the query's valuations (Theorem 3.2): ``t``
+  is a cause with contingency ``Γ`` iff removing ``Γ`` leaves a valuation
+  through ``t`` and removing ``Γ ∪ {t}`` leaves none, and Algorithm 1 is
+  correct on any instance, so it may run on the lineage sub-instance;
+* a tuple in no valuation lies on no source–target path, so its edges carry
+  no flow and never cross the min-cut read off the residual graph: the
+  reported contingency is the one the whole-database network gives;
+* Lemma 4.10 holds on the sub-instance: the domain of a dissociated variable
+  is every value it takes in some valuation, so each valuation of the query
+  still extends to exactly the source–target paths it had over the whole
+  database, and an extension with a value outside that domain completes no
+  path.
+
+Endogenous status is still read from the whole database: an atom's status
+(and so the weakening and the dichotomy decision) through
+:func:`~repro.core.abstract.abstract_query`, and each edge's capacity through
+``database.is_endogenous``.  :func:`example_flow_network` keeps drawing the
+whole-database network of Fig. 4.
 """
 
 from __future__ import annotations
@@ -34,6 +57,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -98,12 +122,13 @@ def match_atom(atom: Atom, tup: Tuple) -> Optional[Dict[str, Any]]:
     return {variable.name: value for variable, value in mapping.items()}
 
 
-def _variable_domains(query: ConjunctiveQuery, database: Database) -> Dict[str, Set[Any]]:
+def _variable_domains(query: ConjunctiveQuery,
+                      tuples: Mapping[str, Iterable[Tuple]]) -> Dict[str, Set[Any]]:
     """For every variable, the values it takes in matching tuples of the atoms
     that (originally) contain it.  Used as the domain of dissociated variables."""
     domains: Dict[str, Set[Any]] = {v.name: set() for v in query.variables()}
     for atom in query.atoms:
-        for tup in database.tuples_of(atom.relation):
+        for tup in tuples[atom.relation]:
             assignment = match_atom(atom, tup)
             if assignment is None:
                 continue
@@ -128,9 +153,18 @@ class _AtomLayer:
         self.matches = matches
 
 
-def _build_layers(query: ConjunctiveQuery, database: Database,
+def _build_layers(query: ConjunctiveQuery, tuples: Mapping[str, Iterable[Tuple]],
                   weakening: WeakeningResult) -> List[_AtomLayer]:
-    """Build the per-atom layers in the weakened query's linear order."""
+    """Build the per-atom layers in the weakened query's linear order.
+
+    ``tuples`` maps each relation of the query to the tuples its layer draws
+    from, and the dissociated variables' domains come from the same tuples.
+    Any superset of the query's lineage gives the same source–target paths:
+    a tuple in no valuation lies on no path, and every valuation's values are
+    in the domains (Lemma 4.10 on the sub-instance, see the module
+    docstring).  :class:`FlowEngine` passes the lineage,
+    :func:`example_flow_network` the whole database.
+    """
     concrete_by_label: Dict[str, Atom] = {}
     label_counts: Dict[str, int] = {}
     for atom in query.atoms:
@@ -141,7 +175,7 @@ def _build_layers(query: ConjunctiveQuery, database: Database,
             "the flow algorithm requires a query without self-joins"
         )
 
-    domains = _variable_domains(query, database)
+    domains = _variable_domains(query, tuples)
     added = weakening.added_variables()
     layers: List[_AtomLayer] = []
     for abstract_atom in weakening.ordered_atoms():
@@ -149,7 +183,7 @@ def _build_layers(query: ConjunctiveQuery, database: Database,
         added_vars = frozenset(added.get(abstract_atom.label, frozenset()))
         matches: List[TypingTuple[Dict[str, Any], Tuple]] = []
         base_matches = []
-        for tup in sorted(database.tuples_of(concrete.relation)):
+        for tup in sorted(tuples[concrete.relation]):
             assignment = match_atom(concrete, tup)
             if assignment is not None:
                 base_matches.append((assignment, tup))
@@ -180,16 +214,13 @@ def _interface_variables(layers: Sequence[_AtomLayer]) -> List[TypingTuple[str, 
     return interfaces
 
 
-def build_flow_network(layers: Sequence[_AtomLayer], database: Database,
-                       inspected: Optional[Tuple] = None,
-                       protected: FrozenSet[TypingTuple[int, int]] = frozenset()
+def build_flow_network(layers: Sequence[_AtomLayer], database: Database
                        ) -> TypingTuple[FlowNetwork, Dict[TypingTuple[int, int], Any]]:
-    """Build the layered flow network.
+    """Build the layered flow network with its base capacities.
 
-    ``protected`` contains (layer index, match index) pairs whose edges get
-    capacity ∞ (the witness path); the ``inspected`` tuple's edges get
-    capacity 0.  Returns the network and a map from (layer, match) to the
-    created edge.
+    An edge gets capacity 1 when its layer and its tuple are endogenous, ∞
+    otherwise.  Returns the network and a map from (layer, match) to the
+    created edge, through which :class:`FlowEngine` protects a witness path.
     """
     interfaces = _interface_variables(layers)
     network = FlowNetwork()
@@ -211,17 +242,17 @@ def build_flow_network(layers: Sequence[_AtomLayer], database: Database,
         for match_index, (assignment, tup) in enumerate(layer.matches):
             left = node_for(layer_index, assignment)
             right = node_for(layer_index + 1, assignment)
-            if (layer_index, match_index) in protected and tup != inspected:
-                capacity = INFINITY
-            elif inspected is not None and tup == inspected:
-                capacity = 0
-            elif layer.endogenous and database.is_endogenous(tup):
+            if layer.endogenous and database.is_endogenous(tup):
                 capacity = 1
             else:
                 capacity = INFINITY
             edge = network.add_edge(left, right, capacity, label=tup)
             edge_map[(layer_index, match_index)] = edge
     return network, edge_map
+
+
+# (layers, base network, (layer, match) -> edge) for one protected relation
+_Plan = TypingTuple[List[_AtomLayer], FlowNetwork, Dict[TypingTuple[int, int], Any]]
 
 
 # --------------------------------------------------------------------------- #
@@ -231,11 +262,23 @@ class FlowEngine:
     """Algorithm 1 with state shared across many inspected tuples.
 
     For one Boolean query and database, the valuation set, the weakening
-    certificate per protected relation and the per-atom layers are all
-    independent of the inspected tuple; the batch engine asks for the
-    responsibility of dozens of tuples of the same bound query, so this class
-    computes each of those pieces once and reuses them.  A fresh engine per
-    call is exactly the historical :func:`flow_responsibility` behaviour.
+    certificate per protected relation, the per-atom layers and the flow
+    network with its base capacities are all independent of the inspected
+    tuple; the batch engine asks for the responsibility of dozens of tuples
+    of the same bound query, so this class computes each of those pieces once
+    and reuses them.  Each witness only changes the capacities of its own
+    path and of the inspected tuple, for the duration of one max-flow.  That
+    makes an engine unsafe for concurrent :meth:`responsibility` calls; the
+    batch engine keeps one per bound query and calls it from one thread.
+    A fresh engine per call is exactly the historical
+    :func:`flow_responsibility` behaviour.
+
+    The layers are lineage-local: they hold only the tuples of the engine's
+    own valuations of the bound query, so one answer costs O(its lineage),
+    not O(the database).  Those valuations ignore ``^n``/``^x`` annotations,
+    unlike the batch layer's groups.  Atom status and base capacities still
+    come from the whole database.  The module docstring gives the soundness
+    argument (Theorem 3.2, Lemma 4.10).
 
     Raises :class:`NotLinearError` at construction for self-joins, and from
     :meth:`responsibility` when no weakening protects the inspected tuple's
@@ -255,9 +298,10 @@ class FlowEngine:
         self.database = database
         self._abstract = abstract_query(query, endogenous_relations, database)
         self._valuations: Optional[List] = None
-        # relation -> (weakening | None, layers | None), cached per relation
+        # relation -> (weakening, None) when no weakening protects it, else
+        # (weakening, (layers, base network, (layer, match) -> edge))
         self._plans: Dict[str, TypingTuple[Optional[WeakeningResult],
-                                           Optional[List[_AtomLayer]]]] = {}
+                                           Optional[_Plan]]] = {}
 
     def _all_valuations(self) -> List:
         if self._valuations is None:
@@ -266,8 +310,7 @@ class FlowEngine:
         return self._valuations
 
     def _plan_for(self, relation: str
-                  ) -> TypingTuple[Optional[WeakeningResult],
-                                   Optional[List[_AtomLayer]]]:
+                  ) -> TypingTuple[Optional[WeakeningResult], Optional[_Plan]]:
         if relation not in self._plans:
             labels = [a.label for a in self._abstract.atoms
                       if a.relation == relation]
@@ -276,9 +319,17 @@ class FlowEngine:
                     f"relation {relation!r} does not occur in the query"
                 )
             weakening = find_weakening(self._abstract, protect=labels)
-            layers = None if weakening is None else \
-                _build_layers(self.query, self.database, weakening)
-            self._plans[relation] = (weakening, layers)
+            plan = None
+            if weakening is not None:
+                lineage: Dict[str, Set[Tuple]] = {
+                    atom.relation: set() for atom in self.query.atoms}
+                for valuation in self._all_valuations():
+                    for tup in valuation.atom_tuples:
+                        lineage[tup.relation].add(tup)
+                layers = _build_layers(self.query, lineage, weakening)
+                network, edge_map = build_flow_network(layers, self.database)
+                plan = (layers, network, edge_map)
+            self._plans[relation] = (weakening, plan)
         return self._plans[relation]
 
     def responsibility(self, tuple_: Tuple) -> FlowResponsibilityResult:
@@ -295,13 +346,14 @@ class FlowEngine:
                 f"tuple {tuple_!r} belongs to relation {tuple_.relation!r}, "
                 "which does not occur in the query"
             )
-        weakening, layers = self._plan_for(tuple_.relation)
+        weakening, plan = self._plan_for(tuple_.relation)
         if weakening is None:
             raise NotLinearError(
                 "query is not weakly linear (with the inspected tuple's relation "
                 "kept endogenous); use the exact algorithm instead"
             )
-        assert layers is not None
+        assert plan is not None
+        layers, network, edge_map = plan
 
         # Witnessing valuations: valuations of the original query that map
         # the atom of t's relation to t.
@@ -313,35 +365,54 @@ class FlowEngine:
             return FlowResponsibilityResult(responsibility_value(None), None, 0,
                                             weakening)
 
+        # The base network is shared by every call on this relation: the
+        # inspected tuple's edges get capacity 0 and each witness path's
+        # other edges capacity ∞, and the base capacities come back after.
+        inspected = [(edge, edge.capacity) for edge in network.edges
+                     if edge.label == tuple_]
         best_size: Optional[float] = None
         best_cut: Optional[FrozenSet[Tuple]] = None
-        for witness in witnesses:
-            assignment = {v.name: value for v, value in witness.assignment.items()}
-            protected: Set[TypingTuple[int, int]] = set()
-            for layer_index, layer in enumerate(layers):
-                witness_tuple = next(
-                    t for t in witness.atom_tuples
-                    if t.relation == layer.concrete.relation
+        try:
+            for edge, _ in inspected:
+                edge.capacity = 0
+            for witness in witnesses:
+                assignment = {v.name: value
+                              for v, value in witness.assignment.items()}
+                protected: List[TypingTuple[Any, float]] = []
+                for layer_index, layer in enumerate(layers):
+                    witness_tuple = next(
+                        t for t in witness.atom_tuples
+                        if t.relation == layer.concrete.relation
+                    )
+                    for match_index, (match_assignment, tup) in \
+                            enumerate(layer.matches):
+                        if tup != witness_tuple:
+                            continue
+                        if all(assignment.get(var) == value
+                               for var, value in match_assignment.items()):
+                            edge = edge_map[(layer_index, match_index)]
+                            if tup != tuple_:
+                                protected.append((edge, edge.capacity))
+                            break
+                try:
+                    for edge, _ in protected:
+                        edge.capacity = INFINITY
+                    result = max_flow(network, ("source",), ("target",))
+                finally:
+                    for edge, capacity in protected:
+                        edge.capacity = capacity
+                if result.is_infinite:
+                    continue
+                cut_tuples = frozenset(
+                    label for label in result.cut_labels() if label != tuple_
                 )
-                for match_index, (match_assignment, tup) in enumerate(layer.matches):
-                    if tup != witness_tuple:
-                        continue
-                    if all(assignment.get(var) == value
-                           for var, value in match_assignment.items()):
-                        protected.add((layer_index, match_index))
-                        break
-            network, _ = build_flow_network(layers, database, inspected=tuple_,
-                                            protected=frozenset(protected))
-            result = max_flow(network, ("source",), ("target",))
-            if result.is_infinite:
-                continue
-            cut_tuples = frozenset(
-                label for label in result.cut_labels() if label != tuple_
-            )
-            size = len(cut_tuples)
-            if best_size is None or size < best_size:
-                best_size = size
-                best_cut = cut_tuples
+                size = len(cut_tuples)
+                if best_size is None or size < best_size:
+                    best_size = size
+                    best_cut = cut_tuples
+        finally:
+            for edge, capacity in inspected:
+                edge.capacity = capacity
 
         if best_size is None:
             # Every witness admits only infinite cuts: the query can never be
@@ -387,6 +458,8 @@ def example_flow_network(query: ConjunctiveQuery, database: Database,
     weakening = find_weakening(abstract)
     if weakening is None:
         raise NotLinearError("query is not weakly linear")
-    layers = _build_layers(query, database, weakening)
+    tuples = {atom.relation: database.tuples_of(atom.relation)
+              for atom in query.atoms}
+    layers = _build_layers(query, tuples, weakening)
     network, _ = build_flow_network(layers, database)
     return network

@@ -1,20 +1,27 @@
 """Unit tests for Algorithm 1: flow-based responsibility for linear queries."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from repro.core import (
+    FlowEngine,
     brute_force_responsibility,
     example_flow_network,
     flow_responsibility,
     flow_responsibility_value,
     is_valid_contingency,
 )
+from repro.engine import BatchExplainer
 from repro.exceptions import CausalityError, NotLinearError
 from repro.flow import max_flow
 from repro.relational import Database, Tuple, database_from_dict, parse_query
-from repro.workloads import random_two_table_instance
+from repro.workloads import random_two_table_instance, sharded_fanout_instance
+
+# ``repro.core.flow_responsibility`` the attribute is the function; the
+# module is where ``FlowEngine`` looks ``build_flow_network`` up.
+flow_module = importlib.import_module("repro.core.flow_responsibility")
 
 
 FIG4_QUERY = parse_query("q :- R(x, y), S(y, z)")
@@ -152,3 +159,57 @@ class TestFigure4Network:
         network = example_flow_network(FIG4_QUERY, db)
         labels = {e.label for e in network.edges if e.label is not None}
         assert labels == set(db.all_tuples())
+
+
+class TestLineageLocality:
+    """The engine's network is built from the answer's lineage alone."""
+
+    def explain_x0(self, monkeypatch, n_answers):
+        edge_counts = []
+        build = flow_module.build_flow_network
+
+        def counting_build(*args, **kwargs):
+            network, edge_map = build(*args, **kwargs)
+            edge_counts.append(len(network.edges))
+            return network, edge_map
+
+        db = sharded_fanout_instance(n_answers, 6)
+        explainer = BatchExplainer(parse_query("q(x) :- R(x, y), S(y, z)"), db)
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "build_flow_network", counting_build)
+            causes = [(c.tuple, c.responsibility, c.contingency)
+                      for c in explainer.explain(("x0",)).ranked()]
+        return edge_counts, causes
+
+    def test_network_and_causes_do_not_grow_with_the_database(self, monkeypatch):
+        small_edges, small_causes = self.explain_x0(monkeypatch, 10)
+        wide_edges, wide_causes = self.explain_x0(monkeypatch, 400)
+        assert small_edges and small_causes
+        assert wide_edges == small_edges
+        assert wide_causes == small_causes
+
+    def test_layers_hold_only_lineage_tuples_of_a_dissociating_query(self):
+        """Example 4.12-b: tuples outside every valuation stay out of the
+        network, and the reported contingency is the whole-database one."""
+        query = parse_query("q :- R(x, y), S(y, z), T(z, x), V(x)")
+        db = database_from_dict({
+            "R": [(1, 2), (1, 3), (2, 3), (4, 4)],
+            "S": [(2, 5), (3, 5), (3, 6), (9, 9)],
+            "T": [(5, 1), (6, 1), (6, 2), (7, 7)],
+            "V": [(1,), (2,), (8,)],
+        })
+        engine = FlowEngine(query, db)
+        t = Tuple("R", (1, 2))
+        result = engine.responsibility(t)
+        # The only witness is R(1,2), S(2,5), T(5,1), V(1), so the min-cut
+        # is the same for every valuation order.
+        assert result.responsibility == Fraction(1, 3)
+        assert result.min_contingency == frozenset(
+            {Tuple("S", (3, 5)), Tuple("S", (3, 6))})
+        weakening, (_, network, _) = engine._plan_for("R")
+        assert weakening.added_variables()["T"] == frozenset({"y"})
+        edge_tuples = {edge.label for edge in network.edges}
+        assert edge_tuples == {tup for valuation in engine._all_valuations()
+                               for tup in valuation.atom_tuples}
+        assert not edge_tuples & {Tuple("R", (4, 4)), Tuple("S", (9, 9)),
+                                  Tuple("T", (7, 7)), Tuple("V", (8,))}

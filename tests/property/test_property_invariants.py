@@ -25,9 +25,12 @@ from repro.core import (
     causes_via_datalog,
     counterfactual_causes,
     exact_responsibility,
+    flow_responsibility,
     flow_responsibility_value,
     is_counterfactual_cause,
+    is_valid_contingency,
 )
+from repro.exceptions import NotLinearError
 from repro.lineage import PositiveDNF
 from repro.relational import Database, parse_query
 
@@ -65,6 +68,27 @@ def chain_databases(draw):
 
 
 @st.composite
+def triangle_databases(draw, with_v):
+    """Small instances for the dissociating triangles of Example 4.12.
+
+    Without ``V`` (4.12-a) ``S`` is exogenous and ``R``, ``T`` endogenous, as
+    the query's annotations say; with ``V`` (4.12-b) each relation's status
+    is drawn.  Statuses are per relation, the setting of Theorem 4.5.
+    """
+    db = Database()
+    pairs = st.lists(st.tuples(values, values), min_size=1, max_size=4)
+    for relation in "RST":
+        endogenous = draw(st.booleans()) if with_v else relation != "S"
+        for x, y in draw(pairs):
+            db.add_fact(relation, x, y, endogenous=endogenous)
+    if with_v:
+        endogenous = draw(st.booleans())
+        for x in draw(st.lists(values, min_size=1, max_size=3)):
+            db.add_fact("V", x, endogenous=endogenous)
+    return db
+
+
+@st.composite
 def dnf_formulas(draw):
     variables = "abcdef"
     conjuncts = draw(st.lists(
@@ -75,6 +99,8 @@ def dnf_formulas(draw):
 
 RS_QUERY = parse_query("q :- R(x, y), S(y)")
 CHAIN_QUERY = parse_query("q :- R(x, y), S(y, z)")
+TRIANGLE_A_QUERY = parse_query("q :- R^n(x, y), S^x(y, z), T^n(z, x)")
+TRIANGLE_B_QUERY = parse_query("q :- R(x, y), S(y, z), T(z, x), V(x)")
 
 relaxed = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -138,6 +164,27 @@ class TestResponsibilityProperties:
         for t in sorted(db.endogenous_tuples()):
             assert flow_responsibility_value(CHAIN_QUERY, db, t) == \
                 brute_force_responsibility(CHAIN_QUERY, db, t)
+
+    @relaxed
+    @given(st.booleans().flatmap(
+        lambda with_v: st.tuples(st.just(with_v), triangle_databases(with_v))))
+    def test_flow_on_dissociating_queries_matches_exact(self, case):
+        """Lemma 4.10 on the lineage sub-instance: the dissociated variables'
+        domains come from the valuations, and ρ and Γ stay right."""
+        with_v, db = case
+        query = TRIANGLE_B_QUERY if with_v else TRIANGLE_A_QUERY
+        for t in sorted(db.endogenous_tuples()):
+            try:
+                result = flow_responsibility(query, db, t)
+            except NotLinearError:
+                continue
+            assert any(result.weakening.added_variables().values())
+            assert result.responsibility == \
+                exact_responsibility(query, db, t).responsibility
+            if result.responsibility:
+                gamma = result.min_contingency
+                assert result.responsibility == Fraction(1, 1 + len(gamma))
+                assert is_valid_contingency(query, db, t, gamma)
 
     @relaxed
     @given(rs_databases())
