@@ -23,6 +23,16 @@ dissociated (exogenous) atoms have their tuples extended with every value of
 the added variables — which changes neither the query answer nor the
 contingencies (Lemma 4.10).
 
+:class:`FlowEngine` lets only the inspected tuple's atom ``R`` dominate.
+Domination trades a contingency tuple ``s`` of a dominated atom for the
+dominating tuple ``r`` that every valuation through ``s`` uses (``Var(R) ⊆
+Var(S)`` fixes it).  The trade keeps the witness alive only when ``r`` is off
+the witness, and keeps ``Γ`` a contingency only when ``r`` is endogenous.  For
+the inspected atom both hold: with no self-joins the witness's ``R`` tuple is
+``t`` itself (and ``r = t`` means ``s`` was not needed in ``Γ``), and the
+engine refuses a dominating weakening when ``R``'s lineage holds an exogenous
+tuple.  Any other dominator may lie on the witness, so it is never used.
+
 :class:`FlowEngine` builds the network over the query's *lineage*, the tuples
 that occur in some valuation of the bound query, not over the whole database.
 This is sound for three reasons:
@@ -30,7 +40,10 @@ This is sound for three reasons:
 * responsibility depends only on the query's valuations (Theorem 3.2): ``t``
   is a cause with contingency ``Γ`` iff removing ``Γ`` leaves a valuation
   through ``t`` and removing ``Γ ∪ {t}`` leaves none, and Algorithm 1 is
-  correct on any instance, so it may run on the lineage sub-instance;
+  correct on any instance, so it may run on the lineage sub-instance.  The
+  valuations are those of the refined query of Sect. 3 (``Rⁿ`` / ``Rˣ``
+  atoms match only endogenous / only exogenous tuples), the same set the
+  batch engine groups and the exact engine reads;
 * a tuple in no valuation lies on no source–target path, so its edges carry
   no flow and never cross the min-cut read off the residual graph: the
   reported contingency is the one the whole-database network gives;
@@ -275,18 +288,20 @@ class FlowEngine:
 
     The layers are lineage-local: they hold only the tuples of the engine's
     own valuations of the bound query, so one answer costs O(its lineage),
-    not O(the database).  Those valuations ignore ``^n``/``^x`` annotations,
-    unlike the batch layer's groups.  Atom status and base capacities still
-    come from the whole database.  The module docstring gives the soundness
-    argument (Theorem 3.2, Lemma 4.10).
+    not O(the database).  Atom status and base capacities still come from
+    the whole database.  The module docstring gives the soundness argument
+    (Theorem 3.2, Lemma 4.10, domination by the inspected atom only).
+
+    Among minimum contingencies of equal size, the one with the smallest
+    sorted list of :meth:`~repro.relational.tuples.Tuple.sort_key` values is
+    reported, so ``Γ`` does not depend on valuation (hash) order.
 
     Raises :class:`NotLinearError` at construction for self-joins, and from
     :meth:`responsibility` when no weakening protects the inspected tuple's
     relation — mirroring the per-call API.
     """
 
-    def __init__(self, query: ConjunctiveQuery, database: Database,
-                 endogenous_relations: Optional[Iterable[str]] = None):
+    def __init__(self, query: ConjunctiveQuery, database: Database):
         if not query.is_boolean:
             raise CausalityError(
                 "flow_responsibility expects a Boolean query; bind the answer first"
@@ -296,29 +311,24 @@ class FlowEngine:
                 "the flow algorithm requires a query without self-joins")
         self.query = query
         self.database = database
-        self._abstract = abstract_query(query, endogenous_relations, database)
+        self._abstract = abstract_query(query, database=database)
         self._valuations: Optional[List] = None
-        # relation -> (weakening, None) when no weakening protects it, else
+        # relation -> (None, None) when no sound weakening protects it, else
         # (weakening, (layers, base network, (layer, match) -> edge))
         self._plans: Dict[str, TypingTuple[Optional[WeakeningResult],
                                            Optional[_Plan]]] = {}
 
     def _all_valuations(self) -> List:
         if self._valuations is None:
-            evaluator = QueryEvaluator(self.database, respect_annotations=False)
+            evaluator = QueryEvaluator(self.database)
             self._valuations = list(evaluator.valuations(self.query))
         return self._valuations
 
     def _plan_for(self, relation: str
                   ) -> TypingTuple[Optional[WeakeningResult], Optional[_Plan]]:
         if relation not in self._plans:
-            labels = [a.label for a in self._abstract.atoms
-                      if a.relation == relation]
-            if not labels:
-                raise CausalityError(
-                    f"relation {relation!r} does not occur in the query"
-                )
-            weakening = find_weakening(self._abstract, protect=labels)
+            # No self-joins, so the relation's one atom is labelled by it.
+            weakening = find_weakening(self._abstract, protect=[relation])
             plan = None
             if weakening is not None:
                 lineage: Dict[str, Set[Tuple]] = {
@@ -326,9 +336,17 @@ class FlowEngine:
                 for valuation in self._all_valuations():
                     for tup in valuation.atom_tuples:
                         lineage[tup.relation].add(tup)
-                layers = _build_layers(self.query, lineage, weakening)
-                network, edge_map = build_flow_network(layers, self.database)
-                plan = (layers, network, edge_map)
+                if weakening.dominated_labels() and not all(
+                        self.database.is_endogenous(tup)
+                        for tup in lineage[relation]):
+                    # An exogenous dominator cannot be traded into a
+                    # contingency (module docstring).
+                    weakening = None
+                else:
+                    layers = _build_layers(self.query, lineage, weakening)
+                    network, edge_map = build_flow_network(layers,
+                                                           self.database)
+                    plan = (layers, network, edge_map)
             self._plans[relation] = (weakening, plan)
         return self._plans[relation]
 
@@ -350,7 +368,8 @@ class FlowEngine:
         if weakening is None:
             raise NotLinearError(
                 "query is not weakly linear (with the inspected tuple's relation "
-                "kept endogenous); use the exact algorithm instead"
+                "kept endogenous and the only dominator); use the exact "
+                "algorithm instead"
             )
         assert plan is not None
         layers, network, edge_map = plan
@@ -370,8 +389,10 @@ class FlowEngine:
         # other edges capacity ∞, and the base capacities come back after.
         inspected = [(edge, edge.capacity) for edge in network.edges
                      if edge.label == tuple_]
-        best_size: Optional[float] = None
         best_cut: Optional[FrozenSet[Tuple]] = None
+        # Ties between distinct cuts go to the smallest sorted tuple keys;
+        # the incumbent's key is computed on its first such tie only.
+        best_key: Optional[List[Any]] = None
         try:
             for edge, _ in inspected:
                 edge.capacity = 0
@@ -406,27 +427,28 @@ class FlowEngine:
                 cut_tuples = frozenset(
                     label for label in result.cut_labels() if label != tuple_
                 )
-                size = len(cut_tuples)
-                if best_size is None or size < best_size:
-                    best_size = size
-                    best_cut = cut_tuples
+                if best_cut is None or len(cut_tuples) < len(best_cut):
+                    best_cut, best_key = cut_tuples, None
+                elif len(cut_tuples) == len(best_cut) \
+                        and cut_tuples != best_cut:
+                    if best_key is None:
+                        best_key = sorted(t.sort_key() for t in best_cut)
+                    key = sorted(t.sort_key() for t in cut_tuples)
+                    if key < best_key:
+                        best_cut, best_key = cut_tuples, key
         finally:
             for edge, capacity in inspected:
                 edge.capacity = capacity
 
-        if best_size is None:
-            # Every witness admits only infinite cuts: the query can never be
-            # made false by removing endogenous tuples, hence t is not a cause.
-            return FlowResponsibilityResult(responsibility_value(None), None,
-                                            len(witnesses), weakening)
-        return FlowResponsibilityResult(responsibility_value(int(best_size)),
-                                        best_cut, len(witnesses), weakening)
+        # No cut at all: every witness admits only infinite cuts, so the
+        # query can never be made false by removing endogenous tuples.
+        return FlowResponsibilityResult(
+            responsibility_value(None if best_cut is None else len(best_cut)),
+            best_cut, len(witnesses), weakening)
 
 
 def flow_responsibility(query: ConjunctiveQuery, database: Database,
-                        tuple_: Tuple,
-                        endogenous_relations: Optional[Iterable[str]] = None
-                        ) -> FlowResponsibilityResult:
+                        tuple_: Tuple) -> FlowResponsibilityResult:
     """Compute the Why-So responsibility of ``t`` with Algorithm 1.
 
     Raises :class:`NotLinearError` when the query is not weakly linear (or no
@@ -435,26 +457,23 @@ def flow_responsibility(query: ConjunctiveQuery, database: Database,
     Use :class:`FlowEngine` directly to amortise the valuation and layer
     construction over many tuples of the same query.
     """
-    return FlowEngine(query, database, endogenous_relations).responsibility(tuple_)
+    return FlowEngine(query, database).responsibility(tuple_)
 
 
 def flow_responsibility_value(query: ConjunctiveQuery, database: Database,
-                              tuple_: Tuple,
-                              endogenous_relations: Optional[Iterable[str]] = None
-                              ) -> Fraction:
+                              tuple_: Tuple) -> Fraction:
     """Just the responsibility value ``ρ_t`` (see :func:`flow_responsibility`)."""
-    return flow_responsibility(query, database, tuple_, endogenous_relations).responsibility
+    return flow_responsibility(query, database, tuple_).responsibility
 
 
-def example_flow_network(query: ConjunctiveQuery, database: Database,
-                         endogenous_relations: Optional[Iterable[str]] = None
-                         ) -> FlowNetwork:
+def example_flow_network(query: ConjunctiveQuery,
+                         database: Database) -> FlowNetwork:
     """The plain flow network of a linear query (no witness protection).
 
     This is the object depicted in Fig. 4 of the paper; its min-cut is the
     minimum number of endogenous tuples whose removal makes the query false.
     """
-    abstract = abstract_query(query, endogenous_relations, database)
+    abstract = abstract_query(query, database=database)
     weakening = find_weakening(abstract)
     if weakening is None:
         raise NotLinearError("query is not weakly linear")

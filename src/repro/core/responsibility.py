@@ -118,9 +118,7 @@ def exact_responsibility(query: ConjunctiveQuery, database: Database,
 # --------------------------------------------------------------------------- #
 def responsibility(query: ConjunctiveQuery, database: Database, tuple_: Tuple,
                    mode: CausalityMode = CausalityMode.WHY_SO,
-                   method: str = "auto",
-                   endogenous_relations: Optional[Iterable[str]] = None
-                   ) -> ResponsibilityResult:
+                   method: str = "auto") -> ResponsibilityResult:
     """Compute ``ρ_t``, picking the right algorithm for the query.
 
     Parameters
@@ -143,13 +141,13 @@ def responsibility(query: ConjunctiveQuery, database: Database, tuple_: Tuple,
     if method == "exact":
         return exact_responsibility(query, database, tuple_, mode)
     if method == "flow":
-        result = flow_responsibility(query, database, tuple_, endogenous_relations)
+        result = flow_responsibility(query, database, tuple_)
         return ResponsibilityResult(tuple_, result.responsibility,
                                     result.min_contingency, "flow")
     # auto
     if not query.has_self_joins():
         try:
-            result = flow_responsibility(query, database, tuple_, endogenous_relations)
+            result = flow_responsibility(query, database, tuple_)
             return ResponsibilityResult(tuple_, result.responsibility,
                                         result.min_contingency, "flow")
         except NotLinearError:
@@ -160,9 +158,7 @@ def responsibility(query: ConjunctiveQuery, database: Database, tuple_: Tuple,
 def responsibilities(query: ConjunctiveQuery, database: Database,
                      tuples: Optional[Iterable[Tuple]] = None,
                      mode: CausalityMode = CausalityMode.WHY_SO,
-                     method: str = "auto",
-                     endogenous_relations: Optional[Iterable[str]] = None
-                     ) -> List[ResponsibilityResult]:
+                     method: str = "auto") -> List[ResponsibilityResult]:
     """Responsibility of many tuples, sorted by decreasing ``ρ``.
 
     ``tuples`` defaults to every endogenous tuple appearing in the lineage of
@@ -173,8 +169,7 @@ def responsibilities(query: ConjunctiveQuery, database: Database,
         relevant = n_lineage(query, database, simplify=False).variables()
         tuples = sorted(t for t in relevant if database.is_endogenous(t))
     results = [
-        responsibility(query, database, t, mode=mode, method=method,
-                       endogenous_relations=endogenous_relations)
+        responsibility(query, database, t, mode=mode, method=method)
         for t in tuples
     ]
     results.sort(key=lambda r: (-r.responsibility, r.tuple))

@@ -17,12 +17,14 @@ operations applied, and a linear order of its atoms — everything
 :mod:`repro.core.flow_responsibility` needs to run Algorithm 1 on the
 weakened instance.
 
-One practical subtlety: the responsibility of a tuple *belonging to a
-dominated relation* is not preserved by domination (the dominated relation
-becomes exogenous, so its tuples are no longer causes at all).  The search
-therefore accepts a ``protect`` set of atom labels that must stay endogenous;
-the responsibility dispatcher protects the relation of the inspected tuple and
-falls back to the exact algorithm when no protected weakening exists.
+One practical subtlety: domination preserves responsibility only for the
+tuples of the inspected tuple's own atom, and only when that atom is the
+dominator (the trade argument is in :mod:`repro.core.flow_responsibility`).
+The search therefore accepts a ``protect`` set of atom labels that stay
+endogenous and are the only dominators; the flow engine protects the
+inspected tuple's relation and falls back to the exact algorithm when no
+protected weakening exists.  The dichotomy (:func:`is_weakly_linear`) passes
+no ``protect`` and keeps the unrestricted Definition 4.9.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def domination_candidates(query: AbstractQuery,
     """Pairs ``(dominated_index, dominator_index)`` of applicable dominations.
 
     Atom ``i`` (endogenous, not protected) is dominated by atom ``j`` when
-    ``j ≠ i``, ``j`` is endogenous, and ``Var(g_j) ⊆ Var(g_i)``.
+    ``j ≠ i``, ``j`` is endogenous (and protected, when ``protect`` is
+    non-empty), and ``Var(g_j) ⊆ Var(g_i)``.
     """
     result: List[Tuple[int, int]] = []
     for i, atom in enumerate(query.atoms):
@@ -120,6 +123,8 @@ def domination_candidates(query: AbstractQuery,
             continue
         for j, other in enumerate(query.atoms):
             if i == j or not other.endogenous:
+                continue
+            if protect and other.label not in protect:
                 continue
             if other.variables <= atom.variables:
                 result.append((i, j))

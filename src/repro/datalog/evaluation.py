@@ -106,7 +106,7 @@ def _evaluate_rule(rule: Rule, database: Database) -> Set[Tuple]:
     positive_atoms = [literal.atom for literal in rule.positive_literals()]
     negative_literals = rule.negative_literals()
     query = ConjunctiveQuery(positive_atoms, head=(), name="_rule_body")
-    evaluator = QueryEvaluator(database, respect_annotations=True)
+    evaluator = QueryEvaluator(database)
 
     results: Set[Tuple] = set()
     for valuation in evaluator.valuations(query):

@@ -510,7 +510,8 @@ class BatchExplainer:
         3. cached explanations, flow engines and
            :class:`~repro.engine.cache.LineageCache` entries are invalidated
            per answer / per tuple, so a following ``explain_all`` re-solves
-           only the stale answers.
+           only the stale answers.  A flow engine reads the same
+           annotation-respecting valuations as its answer's group.
 
         One conservative escape hatch: when the stream changes whether some
         query relation has endogenous tuples *at all*, the relation-level
@@ -616,18 +617,10 @@ class BatchExplainer:
             had_endogenous[relation] != self.database.has_endogenous(relation)
             for relation in had_endogenous
         )
-        # The flow engine enumerates valuations annotation-*blind* (its
-        # layers handle the partition themselves), so for a query with
-        # ``^n``/``^x`` atoms its lineage is broader than the
-        # annotation-respecting groups diffed above — a change can touch a
-        # flow-relevant valuation without touching any group.
-        annotation_blind_flow = self.method in ("auto", "flow") and any(
-            atom.endogenous is not None for atom in self.query.atoms)
-        if partition_shift or annotation_blind_flow:
-            # Either the relation-level endogenous classification feeding
-            # abstract_query/FlowEngine changed, or group-based dirtiness
-            # cannot see everything the flow engine reads: drop every
-            # memoized explanation (the groups stay incrementally exact).
+        if partition_shift:
+            # The relation-level endogenous classification feeding
+            # abstract_query/FlowEngine changed: drop every memoized
+            # explanation (the groups stay incrementally exact).
             previously_cached = self._explanations
             self._flow_engines = {}
             self._explanations = {}

@@ -43,7 +43,7 @@ def lineage(query: ConjunctiveQuery, database: Database) -> PositiveDNF:
         raise CausalityError(
             "lineage is defined for Boolean queries; call query.bind(answer) first"
         )
-    evaluator = QueryEvaluator(database, respect_annotations=True)
+    evaluator = QueryEvaluator(database)
     conjuncts = [valuation.tuples() for valuation in evaluator.valuations(query)]
     return PositiveDNF(conjuncts)
 

@@ -77,7 +77,7 @@ def h3_instance_from_h2(h2_database: Database,
                                 endogenous=h2_database.is_endogenous(source))
             tuple_map[source] = image
 
-    for valuation in find_valuations(h2, h2_database, respect_annotations=False):
+    for valuation in find_valuations(h2, h2_database):
         r_tuple, s_tuple, t_tuple = (
             next(t for t in valuation.atom_tuples if t.relation == "R"),
             next(t for t in valuation.atom_tuples if t.relation == "S"),

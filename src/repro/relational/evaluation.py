@@ -220,17 +220,14 @@ class QueryEvaluator:
     ----------
     database:
         The instance to evaluate against.
-    respect_annotations:
-        When ``True`` (default), atoms annotated ``Rⁿ`` only match endogenous
-        tuples and atoms annotated ``Rˣ`` only match exogenous tuples — the
-        semantics of the refined queries used in Sect. 3.  Unannotated atoms
-        always match every tuple of their relation.
+
+    Atoms annotated ``Rⁿ`` only match endogenous tuples and atoms annotated
+    ``Rˣ`` only match exogenous tuples — the semantics of the refined queries
+    used in Sect. 3.  Unannotated atoms match every tuple of their relation.
     """
 
-    def __init__(self, database: Database,
-                 respect_annotations: bool = True) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.respect_annotations = respect_annotations
         self._indexes: Dict[TypingTuple[str, Optional[bool]], _RelationIndex] = {}
         #: Per-phase counters of the valuation pass (cumulative, cheap).
         self.stats = PassStats()
@@ -241,7 +238,7 @@ class QueryEvaluator:
 
     # ------------------------------------------------------------------ #
     def _index_for(self, atom: Atom) -> _RelationIndex:
-        status = atom.endogenous if self.respect_annotations else None
+        status = atom.endogenous
         key = (atom.relation, status)
         index = self._indexes.get(key)
         if index is None:
@@ -262,8 +259,7 @@ class QueryEvaluator:
         one membership source) and patched per tuple by
         :meth:`apply_changes` — the encodings survive recorded deltas.
         """
-        status = atom.endogenous if self.respect_annotations else None
-        key = (atom.relation, status)
+        key = (atom.relation, atom.endogenous)
         store = self._stores.get(key)
         if store is None:
             store = ColumnStore(self._dictionary, self._index_for(atom).tuples)
@@ -439,8 +435,7 @@ class QueryEvaluator:
 # --------------------------------------------------------------------------- #
 # module-level convenience wrappers
 # --------------------------------------------------------------------------- #
-def greedy_atom_order(query: ConjunctiveQuery, database: Database,
-                      respect_annotations: bool = True) -> List[int]:
+def greedy_atom_order(query: ConjunctiveQuery, database: Database) -> List[int]:
     """The greedy join order the evaluator would use, as query-atom indices.
 
     Exposed for inspection and testing: the order starts at the atom with the
@@ -449,32 +444,30 @@ def greedy_atom_order(query: ConjunctiveQuery, database: Database,
     Returns the identity order when some atom has no candidates at all (the
     query is unsatisfiable and enumeration terminates before joining).
     """
-    evaluator = QueryEvaluator(database, respect_annotations=respect_annotations)
+    evaluator = QueryEvaluator(database)
     plans = evaluator._build_plans(query)
     if plans is None:
         return list(range(len(query.atoms)))
     return evaluator._atom_order(plans)
 
 
-def find_valuations(query: ConjunctiveQuery, database: Database,
-                    respect_annotations: bool = True) -> List[Valuation]:
+def find_valuations(query: ConjunctiveQuery,
+                    database: Database) -> List[Valuation]:
     """All valuations of ``query`` over ``database`` as a list."""
-    evaluator = QueryEvaluator(database, respect_annotations=respect_annotations)
+    evaluator = QueryEvaluator(database)
     return list(evaluator.valuations(query))
 
 
-def evaluate_boolean(query: ConjunctiveQuery, database: Database,
-                     respect_annotations: bool = True) -> bool:
+def evaluate_boolean(query: ConjunctiveQuery, database: Database) -> bool:
     """``D ⊨ q`` for a Boolean query."""
-    evaluator = QueryEvaluator(database, respect_annotations=respect_annotations)
+    evaluator = QueryEvaluator(database)
     return evaluator.holds(query)
 
 
-def evaluate(query: ConjunctiveQuery, database: Database,
-             respect_annotations: bool = True) -> FrozenSet[TypingTuple[Any, ...]]:
+def evaluate(query: ConjunctiveQuery, database: Database
+             ) -> FrozenSet[TypingTuple[Any, ...]]:
     """Answer set of a (possibly non-Boolean) query."""
-    return QueryEvaluator(database,
-                          respect_annotations=respect_annotations).answers(query)
+    return QueryEvaluator(database).answers(query)
 
 
 def is_answer(query: ConjunctiveQuery, database: Database,

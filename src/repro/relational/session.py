@@ -54,10 +54,8 @@ class BackendSession:
 
     backend_name: str = "abstract"
 
-    def __init__(self, database: Database,
-                 respect_annotations: bool = True) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.respect_annotations = respect_annotations
 
     # -- interface ------------------------------------------------------- #
     @property
@@ -196,11 +194,9 @@ class MemorySession(BackendSession):
 
     backend_name = "memory"
 
-    def __init__(self, database: Database,
-                 respect_annotations: bool = True) -> None:
-        super().__init__(database, respect_annotations)
-        self._evaluator = QueryEvaluator(
-            database, respect_annotations=respect_annotations)
+    def __init__(self, database: Database) -> None:
+        super().__init__(database)
+        self._evaluator = QueryEvaluator(database)
 
     @property
     def evaluator(self) -> QueryEvaluator:
@@ -250,17 +246,14 @@ class SQLiteSession(BackendSession):
 
     backend_name = "sqlite"
 
-    def __init__(self, database: Database, respect_annotations: bool = True,
-                 path: str = ":memory:",
+    def __init__(self, database: Database, path: str = ":memory:",
                  backend: Optional[Any] = None) -> None:
         from .sqlite_backend import SQLiteDatabase, SQLiteEvaluator
 
-        super().__init__(database, respect_annotations)
+        super().__init__(database)
         self.sqlite = backend if backend is not None \
             else SQLiteDatabase(database, path=path)
-        self._evaluator = SQLiteEvaluator(
-            database, respect_annotations=respect_annotations,
-            backend=self.sqlite)
+        self._evaluator = SQLiteEvaluator(database, backend=self.sqlite)
 
     @property
     def evaluator(self) -> Any:
@@ -288,7 +281,6 @@ class SQLiteSession(BackendSession):
 
 
 def open_session(database: Database, backend: str = "memory",
-                 respect_annotations: bool = True,
                  path: str = ":memory:") -> BackendSession:
     """Open a :class:`BackendSession` over ``database`` for a named backend.
 
@@ -300,8 +292,7 @@ def open_session(database: Database, backend: str = "memory",
     'memory'
     """
     if backend == "memory":
-        return MemorySession(database, respect_annotations=respect_annotations)
+        return MemorySession(database)
     if backend == "sqlite":
-        return SQLiteSession(database, respect_annotations=respect_annotations,
-                             path=path)
+        return SQLiteSession(database, path=path)
     raise CausalityError(f"unknown backend {backend!r}")

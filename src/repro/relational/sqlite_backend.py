@@ -158,7 +158,7 @@ class _ValuationSQL:
     __slots__ = ("query", "sql", "grouped_sql", "answers_sql", "exists_sql",
                  "params", "atom_offsets", "var_positions")
 
-    def __init__(self, query: ConjunctiveQuery, respect_annotations: bool = True):
+    def __init__(self, query: ConjunctiveQuery):
         from ..datalog.sql import default_column, table_name
 
         self.query = query
@@ -172,8 +172,7 @@ class _ValuationSQL:
         offset = 0
         for index, atom in enumerate(query.atoms):
             alias = f"t{index}"
-            name = table_name(atom) if respect_annotations else atom.relation
-            tables.append(f"{quote_identifier(name)} AS {alias}")
+            tables.append(f"{quote_identifier(table_name(atom))} AS {alias}")
             self.atom_offsets.append(offset)
             for position, term in enumerate(atom.terms):
                 column = f"{alias}.{default_column(position)}"
@@ -262,8 +261,7 @@ class _ValuationSQL:
         return tuple(values)
 
 
-def valuation_sql(query: ConjunctiveQuery, respect_annotations: bool = True
-                  ) -> str:
+def valuation_sql(query: ConjunctiveQuery) -> str:
     """The SQL text of the valuation pass for ``query`` (constants as ``?``).
 
     Examples
@@ -275,7 +273,7 @@ def valuation_sql(query: ConjunctiveQuery, respect_annotations: bool = True
       WHERE t1.c0 IS t0.c1
       ORDER BY 1, 2, 3
     """
-    return _ValuationSQL(query, respect_annotations).sql
+    return _ValuationSQL(query).sql
 
 
 class SQLiteDatabase:
@@ -548,14 +546,13 @@ class SQLiteEvaluator:
     (``valuations`` / ``holds`` / ``answers``), so
     :class:`~repro.engine.batch.BatchExplainer` can swap it in unchanged; the
     cross-engine property suite pins the outputs to be identical.
+    ``Rⁿ`` / ``Rˣ`` atoms read the ``__endo`` / ``__exo`` partition views
+    instead of the base table.
 
     Parameters
     ----------
     database:
         The instance to evaluate against (snapshotted at construction).
-    respect_annotations:
-        As in :class:`QueryEvaluator`: ``Rⁿ`` / ``Rˣ`` atoms read the
-        ``__endo`` / ``__exo`` partition views instead of the base table.
     path:
         Passed to :class:`SQLiteDatabase` — ``":memory:"`` (default) or an
         on-disk path.
@@ -578,13 +575,11 @@ class SQLiteEvaluator:
 
     _RENDER_CACHE_SIZE = 256
 
-    def __init__(self, database: Database, respect_annotations: bool = True,
-                 path: str = ":memory:",
+    def __init__(self, database: Database, path: str = ":memory:",
                  backend: Optional[SQLiteDatabase] = None):
         from collections import OrderedDict
 
         self.database = database
-        self.respect_annotations = respect_annotations
         self.backend = backend if backend is not None \
             else SQLiteDatabase(database, path=path)
         # LRU-bounded: a long-lived session refreshing many deltas renders
@@ -596,7 +591,7 @@ class SQLiteEvaluator:
     def _render(self, query: ConjunctiveQuery) -> _ValuationSQL:
         rendered = self._rendered.get(query)
         if rendered is None:
-            rendered = _ValuationSQL(query, self.respect_annotations)
+            rendered = _ValuationSQL(query)
             self._rendered[query] = rendered
             if len(self._rendered) > self._RENDER_CACHE_SIZE:
                 self._rendered.popitem(last=False)

@@ -1,10 +1,14 @@
 """Unit tests for Algorithm 1: flow-based responsibility for linear queries."""
 
 import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import repro
 from repro.core import (
     FlowEngine,
     brute_force_responsibility,
@@ -199,17 +203,170 @@ class TestLineageLocality:
             "V": [(1,), (2,), (8,)],
         })
         engine = FlowEngine(query, db)
-        t = Tuple("R", (1, 2))
-        result = engine.responsibility(t)
-        # The only witness is R(1,2), S(2,5), T(5,1), V(1), so the min-cut
-        # is the same for every valuation order.
-        assert result.responsibility == Fraction(1, 3)
-        assert result.min_contingency == frozenset(
-            {Tuple("S", (3, 5)), Tuple("S", (3, 6))})
-        weakening, (_, network, _) = engine._plan_for("R")
-        assert weakening.added_variables()["T"] == frozenset({"y"})
+        # V is the only dominator on 4.12-b: it dominates R and T, and the
+        # dominated R is dissociated by z.
+        result = engine.responsibility(Tuple("V", (1,)))
+        # Killing the x = 2 valuation takes one tuple; R(2,3) and T(6,2) are
+        # dominated (capacity ∞), and S(3,6) sorts before V(2).
+        assert result.responsibility == Fraction(1, 2)
+        assert result.min_contingency == frozenset({Tuple("S", (3, 6))})
+        weakening, (_, network, _) = engine._plan_for("V")
+        assert weakening.dominated_labels() == frozenset({"R", "T"})
+        assert weakening.added_variables()["R"] == frozenset({"z"})
         edge_tuples = {edge.label for edge in network.edges}
         assert edge_tuples == {tup for valuation in engine._all_valuations()
                                for tup in valuation.atom_tuples}
         assert not edge_tuples & {Tuple("R", (4, 4)), Tuple("S", (9, 9)),
                                   Tuple("T", (7, 7)), Tuple("V", (8,))}
+
+
+def mixed_database(relations, exogenous=()):
+    """Every tuple endogenous except those listed as ``(relation, row)``."""
+    db = Database()
+    for relation, rows in relations.items():
+        for row in rows:
+            db.add_fact(relation, *row,
+                        endogenous=(relation, row) not in exogenous)
+    return db
+
+
+def assert_matches_brute_force(query, db, answer, expected):
+    """``auto`` on one answer: every ρ is brute force's, every Γ valid, and
+    the ``expected`` tuple → ρ entries hold."""
+    bound = query if query.is_boolean else query.bind(answer)
+    causes = {c.tuple: c for c in BatchExplainer(query, db).explain(answer)}
+    for t, cause in causes.items():
+        assert cause.responsibility == brute_force_responsibility(bound, db, t)
+        assert cause.responsibility == Fraction(1, 1 + len(cause.contingency))
+        assert is_valid_contingency(bound, db, t, cause.contingency)
+    for t in sorted(db.endogenous_tuples() - set(causes)):
+        assert brute_force_responsibility(bound, db, t) == 0
+    for t, rho in expected.items():
+        assert causes[t].responsibility == rho
+
+
+class TestSoundDomination:
+    """Only the inspected tuple's atom may dominate, and only when its
+    lineage is endogenous: trading a dominated tuple for a dominator on the
+    witness, or for an exogenous one, under-reports ρ."""
+
+    def test_linear_chain_is_not_dominated_away(self):
+        query = parse_query("q(x) :- R(x, y), S(y, z), T(z, w)")
+        db = mixed_database({
+            "R": [(2, 0)],
+            "S": [(0, 0), (0, 1), (1, 1)],
+            "T": [(0, 1), (1, 0), (1, 2), (2, 0)],
+        })
+        assert_matches_brute_force(query, db, (2,),
+                                   {Tuple("T", (0, 1)): Fraction(1, 2)})
+
+    def test_mixed_status_dominator(self):
+        query = parse_query("q :- R(x, y), S(y, z), T(z, x), V(x)")
+        db = mixed_database({
+            "R": [(0, 1), (0, 2), (1, 2)],
+            "S": [(2, 0), (2, 1)],
+            "T": [(0, 1), (1, 0), (1, 2), (2, 1)],
+            "V": [(0,), (1,)],
+        }, exogenous={("S", (2, 1)), ("T", (1, 0)), ("V", (0,))})
+        assert_matches_brute_force(query, db, (), {
+            Tuple("S", (2, 0)): Fraction(1, 2),
+            Tuple("T", (0, 1)): Fraction(1, 2),
+            Tuple("V", (1,)): Fraction(1, 2),
+        })
+
+    def test_mixed_status_chain(self):
+        query = parse_query("q(x) :- R(x, y), S(y, z), T(z, w)")
+        db = mixed_database({
+            "R": [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)],
+            "S": [(0, 0), (0, 2), (1, 0), (1, 1), (2, 0)],
+            "T": [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)],
+        }, exogenous={("R", (0, 0)), ("R", (0, 2)), ("S", (1, 1))})
+        assert_matches_brute_force(query, db, (0,),
+                                   {Tuple("T", (0, 0)): Fraction(1, 4)})
+
+    def test_example_412b_all_endogenous(self):
+        query = parse_query("q :- R(x, y), S(y, z), T(z, x), V(x)")
+        db = mixed_database({
+            "R": [(2, 1), (2, 2)],
+            "S": [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)],
+            "T": [(0, 0), (1, 2), (2, 0), (2, 2)],
+            "V": [(0,), (1,), (2,)],
+        })
+        assert_matches_brute_force(query, db, (),
+                                   {Tuple("S", (1, 1)): Fraction(1, 3)})
+        # Only V dominates here, so the other relations go to the exact
+        # engine.
+        engine = FlowEngine(query, db)
+        assert engine.responsibility(Tuple("V", (2,))).weakening \
+            .dominated_labels() == frozenset({"R", "T"})
+        with pytest.raises(NotLinearError):
+            engine.responsibility(Tuple("S", (1, 1)))
+
+    def test_unary_ends_chain(self):
+        query = parse_query("q :- A(x), R(x, y), S(y, z), C(z)")
+        db = mixed_database({
+            "A": [(1,), (2,)],
+            "R": [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)],
+            "S": [(0, 1), (1, 0), (1, 1), (2, 0)],
+            "C": [(0,), (1,)],
+        })
+        assert_matches_brute_force(query, db, (),
+                                   {Tuple("R", (2, 2)): Fraction(1, 3)})
+
+    def test_exogenous_tuple_in_the_dominators_lineage_falls_back(self):
+        query = parse_query("q :- R(y), S(y, z)")
+        db = mixed_database({"R": [(0,), (1,)], "S": [(0, 0), (1, 0)]},
+                            exogenous={("R", (1,))})
+        # R dominates S, but S(1,0) cannot be traded for the exogenous R(1).
+        with pytest.raises(NotLinearError):
+            FlowEngine(query, db).responsibility(Tuple("R", (0,)))
+        assert_matches_brute_force(query, db, (),
+                                   {Tuple("R", (0,)): Fraction(1, 2)})
+
+
+class TestAnnotatedAtoms:
+    def test_flow_reads_the_refined_query(self):
+        """An ``S^x`` atom joins exogenous S tuples only, as in Sect. 3."""
+        query = parse_query("q(x) :- R^n(x, y), S^x(y, z), T(z, w)")
+        db = mixed_database({
+            "R": [(0, 0), (0, 2), (1, 0), (1, 2)],
+            "S": [(0, 2), (1, 0), (2, 0), (2, 1), (2, 2)],
+            "T": [(0, 2), (1, 2), (2, 0)],
+        }, exogenous={("S", (1, 0)), ("S", (2, 2))})
+        assert_matches_brute_force(query, db, (0,), {
+            Tuple("R", (0, 2)): Fraction(1),
+            Tuple("T", (2, 0)): Fraction(1),
+        })
+
+
+class TestDeterministicContingency:
+    SCRIPT = """
+from repro.engine import BatchExplainer
+from repro.relational import Database, parse_query
+
+db = Database()
+exogenous = {("R", (0, 0)), ("T", (0, 0)), ("T", (2, 1))}
+for relation, rows in {
+        "R": [(0, 0), (0, 1), (0, 2)],
+        "S": [(0, 1), (1, 1), (2, 1), (2, 2)],
+        "T": [(0, 0), (1, 2), (2, 0), (2, 1)]}.items():
+    for row in rows:
+        db.add_fact(relation, *row, endogenous=(relation, row) not in exogenous)
+query = parse_query("q :- R(x, y), S(y, z), T(z, u)")
+for cause in BatchExplainer(query, db).explain(()).ranked():
+    print(cause.tuple, cause.responsibility, sorted(cause.contingency))
+"""
+
+    def test_gamma_does_not_depend_on_the_hash_seed(self):
+        """Tied minimum cuts resolve to the smallest sorted tuple keys."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for seed in range(1, 6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", self.SCRIPT], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(outputs) == 1
+        assert "T(1, 2) 1/2 [R(0, 2)]" in outputs.pop()

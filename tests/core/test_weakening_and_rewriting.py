@@ -50,6 +50,16 @@ class TestDomination:
         query = q("q :- V^n(x), R^n(x, y)")
         assert domination_candidates(query, protect=frozenset({"R"})) == []
 
+    def test_only_a_protected_atom_may_dominate(self):
+        """R, S, T is a linear chain: protecting T must not let R dominate S."""
+        query = q("q :- R^n(y), S^n(y, z), T^n(z, w)")
+        assert domination_candidates(query)
+        assert domination_candidates(query, protect=frozenset({"T"})) == []
+        result = find_weakening(query, protect=["T"])
+        assert result is not None and result.steps == ()
+        dominated, _ = apply_dominations(query, frozenset({"R"}))
+        assert not dominated.atoms[1].endogenous
+
     def test_example412b_dominations(self):
         """In R,S,T,V (Example 4.12) V(x) dominates R(x,y) and T(z,x)."""
         query = q("q :- R^n(x, y), S^n(y, z), T^n(z, x), V^n(x)")

@@ -86,6 +86,31 @@ class TestRefreshReport:
         assert before  # silence lint: baseline kept for contrast
 
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_annotated_query_keeps_untouched_flow_answers(self, backend):
+        """The flow engine reads the annotation-respecting groups, so a
+        delta outside every group leaves every ``auto`` memo in place."""
+        query = parse_query("q(x) :- R^n(x, y), S^x(y, z), T(z, w)")
+        db = Database()
+        for x, y in [(0, 0), (0, 2), (1, 0), (1, 2)]:
+            db.add_fact("R", x, y)
+        for y, z in [(0, 2), (1, 0), (2, 0), (2, 1), (2, 2)]:
+            db.add_fact("S", y, z, endogenous=(y, z) not in {(1, 0), (2, 2)})
+        for z, w in [(0, 2), (1, 2), (2, 0)]:
+            db.add_fact("T", z, w)
+        explainer = BatchExplainer(query, db, backend=backend)
+        before = explainer.explain_all()
+        # An endogenous S tuple joins no ``S^x`` atom.
+        report = explainer.refresh(DatabaseDelta(
+            inserts=[(Tuple("S", (1, 1)), True)]))
+        assert report.changed_tuples == {Tuple("S", (1, 1))}
+        assert report.stale == frozenset()
+        assert all(explainer.explain(a) is before[a] for a in before)
+        fresh = BatchExplainer(query, db.copy()).explain_all()
+        assert {a: ranking(e) for a, e in fresh.items()} \
+            == {a: ranking(e) for a, e in before.items()}
+
+
 class TestExogenousDeleteRegression:
     """A delta deleting from the *exogenous* partition must invalidate too.
 

@@ -10,8 +10,8 @@ across the randomized space:
   value that joins with itself) and random conjunctive queries (self-joins,
   repeated variables, constants, ``^n``/``^x`` annotations), the blocks of
   ``valuations_blocks``, the materialised ``valuations()``, ``holds`` and
-  ``answers`` equal the SQLite backend's — with annotations respected and
-  ignored;
+  ``answers`` equal the SQLite backend's — on plain queries and on queries
+  whose atoms carry random ``^n``/``^x`` annotations;
 * the NumPy and pure-python probe paths produce the same blocks;
 * a *live* evaluator patched through ``apply_changes`` produces the same
   blocks as a fresh evaluator on the mutated instance (the
@@ -22,6 +22,7 @@ across the randomized space:
 """
 
 import random
+import re
 
 import pytest
 
@@ -68,6 +69,18 @@ def random_query(rng: random.Random):
     return parse_query(rng.choice(QUERY_POOL))
 
 
+def random_annotated_query(rng: random.Random, annotate: bool):
+    """A pool query with every atom's annotation redrawn at random
+    (``annotate``) or stripped, so both the plain and the
+    endogenous/exogenous-restricted scans are compared."""
+    text = re.sub(r"\^[nx]", "", rng.choice(QUERY_POOL))
+    if annotate:
+        text = re.sub(r"\b([RS])\(",
+                      lambda m: m.group(1) + rng.choice(["", "^n", "^x"]) + "(",
+                      text)
+    return parse_query(text)
+
+
 def canonical(conjuncts):
     """Order-free form of a conjunct list: sorted multiset of tuple keys."""
     return sorted(sorted(t.sort_key() for t in c) for c in conjuncts)
@@ -94,15 +107,15 @@ def grouped_blocks(evaluator, query, use_numpy=None):
 
 
 class TestKernelEqualsSQLite:
-    @pytest.mark.parametrize("respect_annotations", [True, False])
+    @pytest.mark.parametrize("annotate", [True, False])
     @pytest.mark.parametrize("seed", range(20))
-    def test_same_valuation_set(self, seed, respect_annotations):
+    def test_same_valuation_set(self, seed, annotate):
         rng = random.Random(4100 + seed)
         db = random_instance(rng)
-        kernel = QueryEvaluator(db, respect_annotations=respect_annotations)
-        sql = SQLiteEvaluator(db, respect_annotations=respect_annotations)
+        kernel = QueryEvaluator(db)
+        sql = SQLiteEvaluator(db)
         for _ in range(3):
-            query = random_query(rng)
+            query = random_annotated_query(rng, annotate)
             expected = grouped_blocks(sql, query)
             assert grouped_blocks(kernel, query) == expected
             assert grouped_valuations(kernel, query) == expected

@@ -105,13 +105,6 @@ class TestAnnotations:
         assert evaluate(exo_only, db) == frozenset({(2,)})
         assert evaluate(both, db) == frozenset({(1,), (2,)})
 
-    def test_annotations_can_be_ignored(self):
-        db = Database()
-        db.add_fact("R", 1, endogenous=False)
-        q = parse_query("q(x) :- R^n(x)")
-        assert evaluate(q, db, respect_annotations=True) == frozenset()
-        assert evaluate(q, db, respect_annotations=False) == frozenset({(1,)})
-
 
 class TestGreedyOrderAndSemijoin:
     def test_order_starts_at_the_most_selective_atom(self, rs_db):

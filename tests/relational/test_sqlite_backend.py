@@ -30,13 +30,11 @@ def valuation_key(valuation):
     )
 
 
-def assert_same_valuations(query, database, **evaluator_kwargs):
+def assert_same_valuations(query, database):
     memory = sorted(
-        valuation_key(v)
-        for v in QueryEvaluator(database, **evaluator_kwargs).valuations(query))
+        valuation_key(v) for v in QueryEvaluator(database).valuations(query))
     sqlite_ = sorted(
-        valuation_key(v)
-        for v in SQLiteEvaluator(database, **evaluator_kwargs).valuations(query))
+        valuation_key(v) for v in SQLiteEvaluator(database).valuations(query))
     assert memory == sqlite_
 
 
@@ -179,11 +177,6 @@ class TestValuationPass:
         query = parse_query("q :- R^n(x, y), S(y)")
         assert_same_valuations(query, db)
         assert_same_valuations(parse_query("q :- R^x(x, y), S(y)"), db)
-
-    def test_annotations_ignored_when_disabled(self, example33_db):
-        db, _ = example33_db
-        query = parse_query("q :- R^n(x, y), S(y)")
-        assert_same_valuations(query, db, respect_annotations=False)
 
     def test_unknown_relation_yields_nothing(self, example22):
         evaluator = SQLiteEvaluator(example22)
