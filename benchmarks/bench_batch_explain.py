@@ -10,6 +10,11 @@ two-table workload with dozens of answers and asserts that
 * both paths produce identical responsibilities for every answer, and
 * the batch path is at least 3× faster than the per-answer loop.
 
+Each side gets one untimed warm-up run and is then timed best-of-``REPEATS``,
+so neither pays the process's first-call costs inside its measurement; every
+batch run builds a fresh :class:`BatchExplainer`, so memo hits from an
+earlier run never count.
+
 Run with ``pytest benchmarks/bench_batch_explain.py -s`` to see the table.
 """
 
@@ -27,6 +32,18 @@ from repro.workloads import random_two_table_instance
 QUERY = parse_query("q(x) :- R(x, y), S(y, z)")
 MIN_ANSWERS = 20
 MIN_SPEEDUP = 3.0
+REPEATS = 3
+
+
+def best_of(run, repeats: int = REPEATS):
+    """``(result, seconds)``: one untimed warm call, then the fastest run."""
+    result = run()
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return result, best
 
 
 def legacy_explain(query, database, answer, method="auto"):
@@ -48,16 +65,13 @@ def workload():
 
 
 def test_batch_matches_and_beats_per_answer_loop(workload, table_printer):
-    explainer = BatchExplainer(QUERY, workload)
-
-    start = time.perf_counter()
-    batch = explainer.explain_all()
-    batch_seconds = time.perf_counter() - start
+    batch, batch_seconds = best_of(
+        lambda: BatchExplainer(QUERY, workload).explain_all())
     assert len(batch) >= MIN_ANSWERS, "workload too small to be meaningful"
 
-    start = time.perf_counter()
-    legacy = {answer: legacy_explain(QUERY, workload, answer) for answer in batch}
-    legacy_seconds = time.perf_counter() - start
+    legacy, legacy_seconds = best_of(
+        lambda: {answer: legacy_explain(QUERY, workload, answer)
+                 for answer in batch})
 
     # Identical responsibilities, answer by answer and tuple by tuple.
     for answer, explanation in batch.items():

@@ -31,7 +31,8 @@ the witness, and keeps ``Γ`` a contingency only when ``r`` is endogenous.  For
 the inspected atom both hold: with no self-joins the witness's ``R`` tuple is
 ``t`` itself (and ``r = t`` means ``s`` was not needed in ``Γ``), and the
 engine refuses a dominating weakening when ``R``'s lineage holds an exogenous
-tuple.  Any other dominator may lie on the witness, so it is never used.
+tuple, falling back to a weakening without domination when one exists.  Any
+other dominator may lie on the witness, so it is never used.
 
 :class:`FlowEngine` builds the network over the query's *lineage*, the tuples
 that occur in some valuation of the bound query, not over the whole database.
@@ -340,9 +341,11 @@ class FlowEngine:
                         self.database.is_endogenous(tup)
                         for tup in lineage[relation]):
                     # An exogenous dominator cannot be traded into a
-                    # contingency (module docstring).
-                    weakening = None
-                else:
+                    # contingency (module docstring): try without domination.
+                    weakening = find_weakening(
+                        self._abstract,
+                        protect=[atom.label for atom in self._abstract.atoms])
+                if weakening is not None:
                     layers = _build_layers(self.query, lineage, weakening)
                     network, edge_map = build_flow_network(layers,
                                                            self.database)

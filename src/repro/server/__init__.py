@@ -8,7 +8,7 @@ requests over newline-delimited JSON on a local socket.  See
 :mod:`repro.server.app` for the request lifecycle,
 :mod:`repro.server.protocol` for the frame format,
 :mod:`repro.server.registry` for the concurrency design (one worker
-thread + one read/write lock + one epoch counter per session) and
+thread + one epoch counter per session) and
 :mod:`repro.server.admission` for the load-shedding knobs.
 
 The package depends only on :mod:`repro.core.api` and the relational seam
@@ -21,7 +21,6 @@ from __future__ import annotations
 from .admission import AdmissionGate, AdmissionPolicy
 from .app import ExplanationServer
 from .client import ServeClient
-from .locks import ReadWriteLock
 from .protocol import (
     MAX_FRAME_BYTES,
     decode_frame,
@@ -40,7 +39,6 @@ __all__ = [
     "AdmissionPolicy",
     "ExplanationServer",
     "MAX_FRAME_BYTES",
-    "ReadWriteLock",
     "ServeClient",
     "ServerHarness",
     "ServerSession",

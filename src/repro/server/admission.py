@@ -5,15 +5,21 @@ A long-lived service must refuse work it cannot absorb, and refuse it
 :class:`AdmissionGate` built from an :class:`AdmissionPolicy`:
 
 * ``max_pending`` bounds the per-session queue depth (requests admitted but
-  not yet finished, including those waiting on the session lock).  Beyond
-  it, requests are rejected with the typed code ``queue-full`` — the 429 of
-  this protocol — instead of growing an unbounded backlog.
+  not yet finished, including those queued on the session's worker
+  thread).  Beyond it, requests are rejected with the typed code
+  ``queue-full`` — the 429 of this protocol — instead of growing an
+  unbounded backlog.
 * ``max_candidates_cap`` bounds the Why-No candidate generation, the one
   knob whose cost is data-dependent and potentially explosive.  When a cap
   is configured, a request must bound itself at or below it (code
   ``cost-cap`` otherwise).
-* ``request_timeout`` bounds wall-clock per read request (code ``timeout``);
-  ``max_frame_bytes`` bounds request size (code ``oversized-request``).
+* ``request_timeout`` bounds wall-clock per read request (code
+  ``timeout``), counted from admission: the wait behind the jobs queued
+  before it (reads and deltas alike) plus its own computation.
+
+Request size is a server setting, not a session one: the front-end refuses
+an oversized line before any session is named (code ``oversized-request``;
+see :class:`~repro.server.app.ExplanationServer`).
 
 Everything here runs on the event-loop thread, so plain counters suffice.
 """
@@ -24,7 +30,6 @@ import contextlib
 from typing import Dict, Iterator, Optional
 
 from ..exceptions import AdmissionError
-from .protocol import MAX_FRAME_BYTES
 
 
 class AdmissionPolicy:
@@ -37,20 +42,17 @@ class AdmissionPolicy:
     (2, 100)
     """
 
-    __slots__ = ("max_pending", "max_candidates_cap", "request_timeout",
-                 "max_frame_bytes")
+    __slots__ = ("max_pending", "max_candidates_cap", "request_timeout")
 
     def __init__(self, max_pending: int = 8,
                  max_candidates_cap: Optional[int] = None,
-                 request_timeout: Optional[float] = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+                 request_timeout: Optional[float] = None) -> None:
         if max_pending < 1:
             raise AdmissionError(
                 f"max_pending must be at least 1 (got {max_pending})")
         self.max_pending = max_pending
         self.max_candidates_cap = max_candidates_cap
         self.request_timeout = request_timeout
-        self.max_frame_bytes = max_frame_bytes
 
     def __repr__(self) -> str:
         return (f"AdmissionPolicy(max_pending={self.max_pending}, "
@@ -80,9 +82,7 @@ pending, max_pending=1); retry later
         self.pending = 0
         self.admitted = 0
         self.rejections: Dict[str, int] = {
-            "queue-full": 0, "cost-cap": 0, "oversized-request": 0,
-            "timeout": 0,
-        }
+            "queue-full": 0, "cost-cap": 0, "timeout": 0}
 
     def reject(self, code: str, message: str) -> AdmissionError:
         """Count and build (not raise) a typed rejection."""

@@ -9,8 +9,8 @@ SessionRegistry` and listens on a local TCP socket for NDJSON frames
    connections (responses interleave by ``id``; frames are written atomically
    under a per-connection lock);
 2. the request is admitted (or rejected with a typed ``error`` frame) and
-   queued on its session's read/write lock;
-3. CPU work runs on the session's worker thread; for streaming requests
+   its job queued, in arrival order, on its session's worker thread;
+3. CPU work runs on that thread, one job at a time; for streaming requests
    each completed fan-out chunk is marshalled back with
    ``call_soon_threadsafe`` and written as a ``chunk`` frame immediately;
 4. the terminal frame is ``result`` (non-streaming), ``end`` (stream

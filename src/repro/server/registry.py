@@ -1,23 +1,31 @@
-"""Resident sessions: one loaded database, one worker thread, one lock.
+"""Resident sessions: one loaded database, one worker thread, one epoch.
 
 A :class:`ServerSession` keeps a
 :class:`~repro.core.api.ExplanationSession` alive across requests so the
 warm lineage cache, the lineage inverted index and the memoized
-explanations amortize.  Three pieces make it safe under concurrency:
+explanations amortize.  Two pieces make it safe under concurrency:
 
 * **One worker thread per session.**  All engine work — including building
-  the session and closing it — runs on a dedicated single-thread executor
-  via ``loop.run_in_executor``.  This keeps the event loop free, gives the
-  SQLite backend its required thread affinity (the connection is created
-  and only ever used on that thread), and totally orders every computation
-  of the session even when a request is abandoned mid-flight.
-* **A writer-preferring read/write lock** (:class:`ReadWriteLock`) orders
-  deltas against in-flight explanations: reads share, a delta excludes,
-  and a waiting delta blocks new reads from overtaking it.
+  the session and closing it — runs on a dedicated single-thread executor.
+  This keeps the event loop free, gives the SQLite backend its required
+  thread affinity (the connection is created and only ever used on that
+  thread), and totally orders every computation of the session even when a
+  request is abandoned mid-flight.
 * **An epoch counter**, incremented on the worker thread as each delta
   lands and captured on the worker thread as each read begins.  Every
   response reports the epoch it was computed on, which is what the
   linearizability property test replays against.
+
+The executor's FIFO queue is the only ordering mechanism, and it is
+enough: :meth:`ServerSession._run_job` submits its job before its first
+``await``, so jobs queue in the order their requests reach the session.  A
+read that arrives after a delta runs after it and sees the delta's epoch
+(writers are never overtaken), a delta that arrives after a read waits for
+it, and reads never interleave with a delta's refresh because the thread
+runs one job at a time.  An abandoned read frees its admission slot at
+once while its job drains on the thread.  ``request_timeout`` therefore
+counts everything a read waits for on the thread — other reads and deltas
+alike — plus its own computation.
 
 Parallel fan-out still happens *inside* the worker thread: the engine's
 ``explain_all(workers=...)`` forks its worker pool from there, and chunk
@@ -37,7 +45,6 @@ from ..exceptions import ProtocolError, ServerError
 from ..relational import database_from_dict, parse_query
 from ..relational.delta import DatabaseDelta
 from .admission import AdmissionGate, AdmissionPolicy
-from .locks import ReadWriteLock
 
 #: A chunk callback as the engines deliver it (targets, explanations).
 ChunkCallback = Callable[[List[Any], Dict[Any, Explanation]], None]
@@ -85,7 +92,6 @@ class ServerSession:
         self.config = config
         self.name = config.name
         self.gate = AdmissionGate(config.policy)
-        self.lock = ReadWriteLock()
         self.epoch = 0
         self.requests_served = 0
         self._session: Optional[ExplanationSession] = None
@@ -139,10 +145,12 @@ class ServerSession:
 
         An abandoned job (timeout or caller cancelled) keeps running to
         completion on the worker thread — it cannot be interrupted — but
-        its result is discarded and the caller's lock slot is released.
-        Because the thread is the true serializer, later jobs simply queue
-        behind it; the session is never left poisoned.  Write jobs are
-        *not* abandonable: they mutate, so the caller always waits.
+        its result is discarded and the caller's admission slot is
+        released.  Because the thread is the one serializer, later jobs
+        simply queue behind it; the session is never left poisoned.  The
+        job is submitted before the first ``await``, so jobs run in the
+        order their requests reach the session.  Write jobs are *not*
+        abandonable: they mutate, so the caller always waits.
         """
         future = self._executor.submit(fn)
         wrapped = asyncio.wrap_future(future)
@@ -162,7 +170,7 @@ class ServerSession:
             raise
 
     async def _read(self, fn: Callable[[], Any], op: str) -> Any:
-        """One admitted, read-locked, epoch-stamped job on the worker thread.
+        """One admitted, epoch-stamped job on the worker thread.
 
         The epoch is captured *on the worker thread*, where it is totally
         ordered with every delta's increment, so even an abandoned read
@@ -173,9 +181,7 @@ class ServerSession:
             return (self.epoch, fn())
 
         with self.gate.admit():
-            async with self.lock.read_locked():
-                epoch, payload = await self._run_job(job, op,
-                                                     abandonable=True)
+            epoch, payload = await self._run_job(job, op, abandonable=True)
         self.requests_served += 1
         return epoch, payload
 
@@ -222,7 +228,7 @@ class ServerSession:
 
     async def apply_deltas(self, changes: Any
                            ) -> TypingTuple[int, Dict[str, Any]]:
-        """Apply a delta (or list of deltas) exclusively; bump the epoch.
+        """Apply a delta (or list of deltas); bump the epoch.
 
         The epoch increment runs on the worker thread, immediately after
         the refresh, so reads queued behind the delta (on the same thread)
@@ -242,9 +248,8 @@ class ServerSession:
             return self.epoch, reports
 
         with self.gate.admit():
-            async with self.lock.write_locked():
-                epoch, reports = await self._run_job(job, "delta",
-                                                     abandonable=False)
+            epoch, reports = await self._run_job(job, "delta",
+                                                 abandonable=False)
         self.requests_served += 1
         summary = {
             side: None if report is None else {

@@ -317,9 +317,13 @@ class TestSoundDomination:
         query = parse_query("q :- R(y), S(y, z)")
         db = mixed_database({"R": [(0,), (1,)], "S": [(0, 0), (1, 0)]},
                             exogenous={("R", (1,))})
-        # R dominates S, but S(1,0) cannot be traded for the exogenous R(1).
-        with pytest.raises(NotLinearError):
-            FlowEngine(query, db).responsibility(Tuple("R", (0,)))
+        # R dominates S, but S(1,0) cannot be traded for the exogenous R(1):
+        # flow falls back to the (already linear) weakening without
+        # domination, which keeps S(1,0) cuttable.
+        result = FlowEngine(query, db).responsibility(Tuple("R", (0,)))
+        assert result.responsibility == Fraction(1, 2)
+        assert result.weakening.dominated_labels() == frozenset()
+        assert result.min_contingency == frozenset({Tuple("S", (1, 0))})
         assert_matches_brute_force(query, db, (),
                                    {Tuple("R", (0,)): Fraction(1, 2)})
 

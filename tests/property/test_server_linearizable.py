@@ -19,7 +19,9 @@ order and invertible — each example restores the resident session by
 applying the inverse toggles, which keeps one warm server per backend for
 the whole module (that residency is the point of the service).  Examples
 are seeded and shrinkable like any hypothesis test: a failure replays from
-the printed blob and shrinks toward fewer toggles and reads.
+the printed blob and shrinks toward fewer toggles and reads.  The default
+tier runs 10 examples per backend; the ``slow`` variant runs 100 and also
+draws how many requests each reader sends.
 """
 
 import functools
@@ -109,77 +111,97 @@ def live(request):
         yield harness
 
 
+def assert_reads_observe_a_serial_prefix(live, order, count, reads=2):
+    """Race ``count`` toggles against two readers of ``reads`` requests each;
+    replay every response against the oracle."""
+    prefix = [TOGGLES[i] for i in order[:count]]
+    with live.client() as probe:
+        e0 = probe.answers("live")["epoch"]
+
+    per_thread = {"writer": [], "whyso": [], "whyno": []}
+    errors = []
+
+    def writer():
+        try:
+            with live.client() as client:
+                for toggle in prefix:
+                    frame = client.delta("live", delta_payload(*toggle))
+                    per_thread["writer"].append(frame["epoch"])
+        except BaseException as error:  # noqa: BLE001 - collected
+            errors.append(error)
+
+    def reader(kind):
+        try:
+            with live.client() as client:
+                for _ in range(reads):
+                    if kind == "whyso":
+                        chunks, end = client.stream("explain-batch",
+                                                    session="live")
+                        assert end["type"] == "end", end
+                        got = {tuple(w["answer"]): w for chunk in chunks
+                               for w in chunk["explanations"]}
+                        assert end["count"] == len(got)
+                        per_thread[kind].append((end["epoch"], got))
+                    else:
+                        frame = client.whyno(
+                            "live", domains=WHYNO_DOMAINS,
+                            max_candidates=MAX_CANDIDATES)
+                        got = {tuple(w["answer"]): w
+                               for w in frame["explanations"]}
+                        per_thread[kind].append((frame["epoch"], got))
+        except BaseException as error:  # noqa: BLE001 - collected
+            errors.append(error)
+
+    threads = [threading.Thread(target=writer),
+               threading.Thread(target=reader, args=("whyso",)),
+               threading.Thread(target=reader, args=("whyno",))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+
+    try:
+        assert not errors, errors
+        # Writes landed in order: epochs e0+1 .. e0+count.
+        assert per_thread["writer"] == \
+            [e0 + k for k in range(1, count + 1)]
+        for kind in ("whyso", "whyno"):
+            epochs = [epoch for epoch, _ in per_thread[kind]]
+            assert epochs == sorted(epochs)  # monotone per connection
+            for epoch, got in per_thread[kind]:
+                version = epoch - e0
+                assert 0 <= version <= count
+                assert got == oracle(tuple(prefix[:version]))[kind]
+    finally:
+        # Invert the example's toggles so the next example (and the
+        # other reader of this warm session) starts from base state.
+        with live.client() as client:
+            for toggle in reversed(prefix):
+                client.delta("live", inverse_payload(*toggle))
+
+    with live.client() as probe:
+        assert probe.answers("live")["answers"] == oracle(())["answers"]
+
+
+toggle_orders = st.permutations(range(len(TOGGLES)))
+toggle_counts = st.integers(min_value=0, max_value=3)
+relaxed = settings(max_examples=10, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+thorough = settings(max_examples=100, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
 class TestServerLinearizable:
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(order=st.permutations(range(len(TOGGLES))),
-           count=st.integers(min_value=0, max_value=3))
+    @relaxed
+    @given(order=toggle_orders, count=toggle_counts)
     def test_concurrent_reads_observe_a_serial_prefix(self, live, order,
                                                       count):
-        prefix = [TOGGLES[i] for i in order[:count]]
-        with live.client() as probe:
-            e0 = probe.answers("live")["epoch"]
+        assert_reads_observe_a_serial_prefix(live, order, count)
 
-        per_thread = {"writer": [], "whyso": [], "whyno": []}
-        errors = []
-
-        def writer():
-            try:
-                with live.client() as client:
-                    for toggle in prefix:
-                        frame = client.delta("live", delta_payload(*toggle))
-                        per_thread["writer"].append(frame["epoch"])
-            except BaseException as error:  # noqa: BLE001 - collected
-                errors.append(error)
-
-        def reader(kind):
-            try:
-                with live.client() as client:
-                    for _ in range(2):
-                        if kind == "whyso":
-                            chunks, end = client.stream("explain-batch",
-                                                        session="live")
-                            assert end["type"] == "end", end
-                            got = {tuple(w["answer"]): w for chunk in chunks
-                                   for w in chunk["explanations"]}
-                            assert end["count"] == len(got)
-                            per_thread[kind].append((end["epoch"], got))
-                        else:
-                            frame = client.whyno(
-                                "live", domains=WHYNO_DOMAINS,
-                                max_candidates=MAX_CANDIDATES)
-                            got = {tuple(w["answer"]): w
-                                   for w in frame["explanations"]}
-                            per_thread[kind].append((frame["epoch"], got))
-            except BaseException as error:  # noqa: BLE001 - collected
-                errors.append(error)
-
-        threads = [threading.Thread(target=writer),
-                   threading.Thread(target=reader, args=("whyso",)),
-                   threading.Thread(target=reader, args=("whyno",))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-
-        try:
-            assert not errors, errors
-            # Writes landed in order: epochs e0+1 .. e0+count.
-            assert per_thread["writer"] == \
-                [e0 + k for k in range(1, count + 1)]
-            for kind in ("whyso", "whyno"):
-                epochs = [epoch for epoch, _ in per_thread[kind]]
-                assert epochs == sorted(epochs)  # monotone per connection
-                for epoch, got in per_thread[kind]:
-                    version = epoch - e0
-                    assert 0 <= version <= count
-                    assert got == oracle(tuple(prefix[:version]))[kind]
-        finally:
-            # Invert the example's toggles so the next example (and the
-            # other reader of this warm session) starts from base state.
-            with live.client() as client:
-                for toggle in reversed(prefix):
-                    client.delta("live", inverse_payload(*toggle))
-
-        with live.client() as probe:
-            assert probe.answers("live")["answers"] == oracle(())["answers"]
+    @pytest.mark.slow
+    @thorough
+    @given(order=toggle_orders, count=toggle_counts,
+           reads=st.integers(min_value=1, max_value=3))
+    def test_concurrent_reads_observe_a_serial_prefix_thorough(
+            self, live, order, count, reads):
+        assert_reads_observe_a_serial_prefix(live, order, count, reads)

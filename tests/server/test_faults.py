@@ -6,7 +6,8 @@ Three families, per the service contract:
   error frame with the partial-result marker — and the session keeps
   serving afterwards;
 * a client that disconnects (or times out) has its work abandoned without
-  poisoning the session — the worker thread serializes everything;
+  poisoning the session — the worker thread serializes everything, in
+  arrival order, and a read's timeout counts its wait behind a delta;
 * admission control rejects cheaply and typed: full queue, unbounded
   Why-No cost, oversized frames.
 
@@ -31,6 +32,9 @@ from .conftest import QUERY_TEXT, example_payload
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
+#: Removes answer a3 and one of a4's two witnesses.
+DELETE_S3 = {"delete": {"relations": {"S": [["a3"]]}}}
+
 
 def _exit_on_marked_answer(explainer, answer):
     """Kill the worker process outright when it reaches the marked answer."""
@@ -44,24 +48,24 @@ def _config(**policy_knobs):
                          policy=AdmissionPolicy(**policy_knobs))
 
 
-def _block_worker(harness, name="mem"):
-    """Make the session's ``explain`` park on an event; returns the controls.
+def _block_worker(harness, name="mem", method="explain"):
+    """Make the session's ``method`` park on an event; returns the controls.
 
     ``entered`` fires when the worker thread is inside the blocked call;
     ``release`` lets it proceed (the wrapper then behaves normally, so the
     session is usable for the rest of the test).
     """
     session = harness.server.registry.get(name)._session
-    original = session.explain
+    original = getattr(session, method)
     entered = threading.Event()
     release = threading.Event()
 
-    def blocking_explain(*args, **kwargs):
+    def blocking_call(*args, **kwargs):
         entered.set()
         assert release.wait(timeout=30), "test never released the worker"
         return original(*args, **kwargs)
 
-    session.explain = blocking_explain
+    setattr(session, method, blocking_call)
     return entered, release
 
 
@@ -157,6 +161,54 @@ class TestAbandonedClients:
                 assert frame["explanation"]["answer"] == ["a4"]
                 stats = client.stats()["mem"]
                 assert stats["admission"]["rejections"]["timeout"] == 1
+
+
+class TestWorkerQueueOrder:
+    """The worker thread's FIFO queue is the session's one serializer."""
+
+    def test_read_after_a_delta_sees_the_delta(self):
+        with running_server([_config(max_pending=8)]) as harness:
+            entered, release = _block_worker(harness)
+            pipelined = harness.client()
+            # A read holds the worker; a delta and a second read queue
+            # behind it, in arrival order.
+            pipelined.send_raw({"id": 1, "op": "explain", "session": "mem",
+                                "answer": ["a4"]})
+            pipelined.send_raw({"id": 2, "op": "delta", "session": "mem",
+                                "changes": DELETE_S3})
+            pipelined.send_raw({"id": 3, "op": "explain", "session": "mem",
+                                "answer": ["a4"]})
+            assert entered.wait(timeout=10)
+            gate = harness.server.registry.get("mem").gate
+            assert _poll(lambda: gate.pending == 3)
+            release.set()
+            frames = [pipelined.recv() for _ in range(3)]
+            pipelined.close()
+            assert all(f["type"] == "result" for f in frames), frames
+            assert {f["id"]: f["epoch"] for f in frames} == {1: 0, 2: 1, 3: 1}
+
+    def test_request_timeout_counts_the_wait_behind_a_delta(self):
+        with running_server([_config(max_pending=8,
+                                     request_timeout=0.3)]) as harness:
+            entered, release = _block_worker(harness, method="refresh_all")
+            writer = harness.client()
+            writer.send_raw({"id": 1, "op": "delta", "session": "mem",
+                             "changes": DELETE_S3})
+            try:
+                assert entered.wait(timeout=10)
+                with harness.client(timeout=10) as reader:
+                    with pytest.raises(RequestTimeout) as excinfo:
+                        reader.explain("mem", ["a4"])
+                assert excinfo.value.code == "timeout"
+            finally:
+                release.set()
+            frame = writer.recv()
+            writer.close()
+            assert frame["type"] == "result" and frame["epoch"] == 1
+            with harness.client() as client:
+                frame = client.explain("mem", ["a4"])
+                assert frame["epoch"] == 1
+                assert frame["explanation"]["answer"] == ["a4"]
 
 
 class TestAdmissionRejections:

@@ -1,12 +1,11 @@
 """The explanation service end to end: a real server, real sockets.
 
 Every test drives the full stack — asyncio front-end, admission gate,
-read/write lock, worker thread, engines — through blocking clients, and
+worker thread, engines — through blocking clients, and
 checks results bit-exactly against the direct library API (responsibilities
 compare as exact fraction strings, never floats).
 """
 
-import asyncio
 import threading
 
 import pytest
@@ -15,7 +14,6 @@ from repro.core.api import ExplanationSession
 from repro.exceptions import ProtocolError
 from repro.relational import parse_query
 from repro.server import (
-    ReadWriteLock,
     SessionConfig,
     ServerHarness,
     explanations_to_wire,
@@ -260,54 +258,3 @@ class TestTypedErrors:
                 client.explain("mem", ["zz"])
             assert client.ping() is True
 
-
-class TestReadWriteLock:
-    def test_writer_excludes_and_is_preferred(self):
-        async def scenario():
-            lock = ReadWriteLock()
-            order = []
-
-            async def reader(name, gate):
-                async with lock.read_locked():
-                    order.append(("r", name))
-                    await gate.wait()
-
-            async def writer():
-                async with lock.write_locked():
-                    order.append(("w", "w1"))
-
-            gate = asyncio.Event()
-            first = asyncio.ensure_future(reader("r1", gate))
-            await asyncio.sleep(0)
-            assert lock.readers == 1
-            write_task = asyncio.ensure_future(writer())
-            await asyncio.sleep(0)
-            # Writer waits; a newly arriving reader must queue behind it.
-            late_gate = asyncio.Event()
-            late_gate.set()
-            late = asyncio.ensure_future(reader("r2", late_gate))
-            await asyncio.sleep(0)
-            assert lock.writers_waiting == 1
-            assert ("r", "r2") not in order
-            gate.set()
-            await asyncio.gather(first, write_task, late)
-            assert order == [("r", "r1"), ("w", "w1"), ("r", "r2")]
-
-        asyncio.run(scenario())
-
-    def test_cancelled_waiting_writer_unblocks_readers(self):
-        async def scenario():
-            lock = ReadWriteLock()
-            await lock.acquire_read()
-            write_task = asyncio.ensure_future(lock.acquire_write())
-            await asyncio.sleep(0)
-            assert lock.writers_waiting == 1
-            write_task.cancel()
-            await asyncio.gather(write_task, return_exceptions=True)
-            assert lock.writers_waiting == 0
-            # A new reader passes immediately.
-            await asyncio.wait_for(lock.acquire_read(), timeout=1)
-            await lock.release_read()
-            await lock.release_read()
-
-        asyncio.run(scenario())
