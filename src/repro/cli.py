@@ -221,8 +221,7 @@ def _print_pass_stats(explainer) -> None:
           f"{payload['columnar_passes']} columnar pass(es), "
           f"{payload['blocks_produced']} block(s) / "
           f"{payload['block_rows']} row(s), "
-          f"{payload['numpy_joins']} numpy + "
-          f"{payload['python_joins']} python join(s), "
+          f"{payload['joins']} join(s), "
           f"{payload['adapter_valuations']} adapter valuation(s)")
 
 

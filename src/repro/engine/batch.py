@@ -77,11 +77,6 @@ from .lineage_index import LineageIndex
 
 Answer = TypingTuple[Any, ...]
 
-def _answer_order_key(answer: Answer) -> TypingTuple[Any, ...]:
-    """Deterministic ordering for answer tuples with mixed value types."""
-    return value_sort_key(answer)
-
-
 class RefreshReport:
     """What a delta-aware ``refresh`` actually re-evaluated.
 
@@ -256,7 +251,7 @@ class BatchExplainer:
     def answers(self) -> List[Answer]:
         """Every answer of the query, in deterministic order (one evaluation)."""
         self._run_full_pass()
-        return sorted(self._conjuncts, key=_answer_order_key)
+        return sorted(self._conjuncts, key=value_sort_key)
 
     # ------------------------------------------------------------------ #
     # per-answer explanation over the shared state

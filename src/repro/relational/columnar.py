@@ -26,12 +26,11 @@ it around *columnar batches* instead:
   materialisation is deferred until an explanation or a refresh actually
   needs that answer (:meth:`ValuationBlock.conjuncts`).
 
-The pass stays dependency-free: blocks are plain lists and ``array("q")``
-row-id vectors.  When NumPy is importable the join probe runs vectorised
-(packed int64 keys, stable argsort + ``searchsorted``), differentially
-tested against the pure path; the packed-key width is checked against the
-dictionary size and the pass silently keeps the pure join when codes would
-overflow 63 bits.
+The pass is pure Python with no third-party import: blocks are plain
+lists and ``array("q")`` row-id vectors.  Its hot use is Algorithm 1's
+small bound-query passes, where converting columns to and from a
+vectorised array library costs more than the join it saves (and importing
+one costs resident memory), so there is one probe and one grouping.
 
 Everything downstream is canonical (``PositiveDNF`` is a frozenset of
 frozensets, answers are sorted by value), so block row order — which follows
@@ -61,11 +60,6 @@ from typing import AbstractSet, Protocol
 from .query import ConjunctiveQuery, Variable
 from .tuples import Tuple
 
-try:  # optional fast path; the pure-python pass is always available
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _numpy = None  # type: ignore[assignment]
-
 #: A (non-)answer head tuple, as the batch engines key their maps.
 Answer = TypingTuple[Any, ...]
 
@@ -87,7 +81,7 @@ class PassStats:
 
     __slots__ = ("plans_built", "semijoin_rounds", "rows_pruned",
                  "columnar_passes", "blocks_produced", "block_rows",
-                 "python_joins", "numpy_joins", "adapter_valuations")
+                 "joins", "adapter_valuations")
 
     def __init__(self) -> None:
         self.reset()
@@ -240,7 +234,7 @@ class ValuationBlock:
     def atom_tuples(self) -> Iterator[TypingTuple[Tuple, ...]]:
         """Per-valuation matched tuples, in query-atom order."""
         gathered = [
-            [rows[index] for index in _as_id_list(ids)]
+            [rows[index] for index in ids]
             for rows, ids in zip(self.atom_rows, self.rowids)
         ]
         return zip(*gathered)
@@ -258,7 +252,9 @@ class ValuationBlock:
         """
         distinct: Set[Tuple] = set()
         for rows, ids in zip(self.atom_rows, self.rowids):
-            distinct.update(rows[index] for index in _distinct_ids(ids))
+            # ``dict.fromkeys`` dedups order-stably; the determinism lint
+            # rule bans iterating a ``set()`` call.
+            distinct.update(rows[index] for index in dict.fromkeys(ids))
         return frozenset(distinct)
 
     def __getstate__(self) -> TypingTuple[Any, Any]:
@@ -270,24 +266,6 @@ class ValuationBlock:
     def __repr__(self) -> str:
         return (f"ValuationBlock({len(self)} valuation(s) × "
                 f"{len(self.atom_rows)} atom(s))")
-
-
-def _as_id_list(ids: Sequence[int]) -> Sequence[int]:
-    """Row ids as a plain python sequence (NumPy vectors convert once)."""
-    if _numpy is not None and isinstance(ids, _numpy.ndarray):
-        return ids.tolist()
-    return ids
-
-
-def _distinct_ids(ids: Sequence[int]) -> Iterable[int]:
-    """Distinct row ids, order-stable (C-speed ``np.unique`` when vectors).
-
-    The pure path dedups through ``dict.fromkeys`` — order-stable, and the
-    determinism lint rule bans iterating a ``set()`` call.
-    """
-    if _numpy is not None and isinstance(ids, _numpy.ndarray):
-        return _numpy.unique(ids).tolist()
-    return dict.fromkeys(ids)
 
 
 #: What the engines store per answer: either materialised conjuncts or a
@@ -336,7 +314,6 @@ def _atom_columns(
 
 def _build_hash_table(
         cols: Mapping[Variable, CodeColumn], shared: Sequence[Variable],
-        n_rows: int,
 ) -> Dict[Any, List[int]]:
     """Build side of one block join: key codes → matching row ids."""
     table: Dict[Any, List[int]] = {}
@@ -357,12 +334,11 @@ def _build_hash_table(
     return table
 
 
-def _python_probe(
+def _probe(
         block_vars: Mapping[Variable, CodeColumn],
         table: Mapping[Any, List[int]], shared: Sequence[Variable],
-        length: int,
 ) -> TypingTuple[List[int], List[int]]:
-    """Probe the current block against a build table (pure-python path).
+    """Probe the current block against a build table.
 
     Returns ``(out_sel, out_match)``: parallel vectors where probe row
     ``out_sel[k]`` joined with build row ``out_match[k]``.
@@ -389,50 +365,6 @@ def _python_probe(
     return out_sel, out_match
 
 
-def _numpy_probe(
-        block_vars: Mapping[Variable, CodeColumn],
-        cols: Mapping[Variable, CodeColumn], shared: Sequence[Variable],
-        code_bits: int,
-) -> Optional[TypingTuple[List[int], List[int]]]:
-    """Vectorised probe: packed int64 keys + stable argsort + searchsorted.
-
-    Returns ``None`` when the packed key would overflow 63 bits (the caller
-    then keeps the pure probe); otherwise the same ``(out_sel, out_match)``
-    contract as :func:`_python_probe`, converted back to plain lists so the
-    rest of the pass is path-independent.
-    """
-    if _numpy is None or code_bits * len(shared) > 62:
-        return None
-    np = _numpy
-
-    def pack(colmap: Mapping[Variable, CodeColumn]) -> Any:
-        key = np.asarray(colmap[shared[0]], dtype=np.int64)
-        for variable in shared[1:]:
-            key = (key << np.int64(code_bits)) \
-                | np.asarray(colmap[variable], dtype=np.int64)
-        return key
-
-    build_key = pack(cols)
-    probe_key = pack(block_vars)
-    sort_index = np.argsort(build_key, kind="stable")
-    sorted_key = build_key[sort_index]
-    left = np.searchsorted(sorted_key, probe_key, side="left")
-    right = np.searchsorted(sorted_key, probe_key, side="right")
-    counts = right - left
-    total = int(counts.sum())
-    out_sel = np.repeat(np.arange(len(probe_key), dtype=np.int64), counts)
-    if total:
-        starts = np.repeat(left, counts)
-        group_offsets = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]))
-        offsets = np.arange(total, dtype=np.int64) \
-            - np.repeat(group_offsets, counts)
-        out_match = sort_index[starts + offsets]
-    else:
-        out_match = np.zeros(0, dtype=np.int64)
-    return out_sel.tolist(), out_match.tolist()
-
-
 def _cross_product(
         length: int, n_build: int,
 ) -> TypingTuple[List[int], List[int]]:
@@ -448,7 +380,6 @@ def run_pass(
         order: Sequence[int],
         stores: Sequence[ColumnStore],
         stats: PassStats,
-        use_numpy: Optional[bool] = None,
 ) -> Dict[Answer, ValuationBlock]:
     """One columnar valuation pass, grouped by head tuple.
 
@@ -456,16 +387,12 @@ def run_pass(
     :class:`~repro.relational.evaluation.QueryEvaluator` (``_build_plans``
     already applied constants, intra-atom repeats and the semi-join
     fixpoint); ``stores`` is the matching per-atom
-    ``(relation, status)`` column store.  ``use_numpy`` forces the probe
-    path (``None`` auto-detects; forcing ``True`` without NumPy raises).
-    Every run adds to the join and block counters of ``stats``; only the
-    caller knows whether it was a full pass (``columnar_passes``).
+    ``(relation, status)`` column store.  Every run adds to the join and
+    block counters of ``stats``; only the caller knows whether it was a
+    full pass (``columnar_passes``).
     """
-    if use_numpy is True and _numpy is None:
-        raise RuntimeError("use_numpy=True, but numpy is not importable")
     atom_rows: List[Sequence[Tuple]] = []
     atom_cols: List[Dict[Variable, CodeColumn]] = []
-    dictionary: Optional[ValueDictionary] = None
     for plan, store in zip(plans, stores):
         rows, cols = _atom_columns(plan, store)
         if rows is store.rows:
@@ -476,7 +403,6 @@ def run_pass(
             rows = list(rows)
         atom_rows.append(rows)
         atom_cols.append(cols)
-        dictionary = store.dictionary
 
     first = order[0]
     length = len(atom_rows[first])
@@ -485,7 +411,6 @@ def run_pass(
         for variable, column in atom_cols[first].items()
     }
     block_rowids: Dict[int, List[int]] = {first: list(range(length))}
-    code_bits = max(1, len(dictionary)).bit_length() if dictionary else 1
 
     for atom_index in order[1:]:
         cols = atom_cols[atom_index]
@@ -495,18 +420,10 @@ def run_pass(
         n_build = len(atom_rows[atom_index])
         if not shared:
             out_sel, out_match = _cross_product(length, n_build)
-            stats.python_joins += 1
         else:
-            probed = None if use_numpy is False else _numpy_probe(
-                block_vars, cols, shared, code_bits)
-            if probed is not None:
-                out_sel, out_match = probed
-                stats.numpy_joins += 1
-            else:
-                table = _build_hash_table(cols, shared, n_build)
-                out_sel, out_match = _python_probe(
-                    block_vars, table, shared, length)
-                stats.python_joins += 1
+            out_sel, out_match = _probe(
+                block_vars, _build_hash_table(cols, shared), shared)
+        stats.joins += 1
         block_vars = {
             variable: [column[index] for index in out_sel]
             for variable, column in block_vars.items()
@@ -525,14 +442,8 @@ def run_pass(
     if not length:
         return {}
     rowid_columns = [block_rowids[index] for index in range(len(plans))]
-    head_vars = [term for term in query.head if isinstance(term, Variable)]
-    if head_vars and length > 1 and use_numpy is not False \
-            and _numpy is not None:
-        groups = _group_by_head_numpy(query, head_vars, block_vars,
-                                      rowid_columns, atom_rows, length)
-    else:
-        groups = _group_by_head(query, block_vars, rowid_columns, atom_rows,
-                                length)
+    groups = _group_by_head(query, block_vars, rowid_columns, atom_rows,
+                            length)
     stats.blocks_produced += len(groups)
     return groups
 
@@ -584,55 +495,6 @@ def _group_by_head(
             array("q", (column[index] for index in indices))
             for column in rowid_columns
         )
-        groups[head] = ValuationBlock(shared_rows, rowids)
-    return groups
-
-
-def _group_by_head_numpy(
-        query: ConjunctiveQuery,
-        head_vars: Sequence[Variable],
-        block_vars: Mapping[Variable, CodeColumn],
-        rowid_columns: Sequence[CodeColumn],
-        atom_rows: Sequence[Sequence[Tuple]],
-        length: int,
-) -> Dict[Answer, ValuationBlock]:
-    """Vectorised head grouping: one stable sort, then boundary slices.
-
-    Sorts the joined block by head codes (stable, so same-head rows stay in
-    join order), finds the bucket boundaries with one vectorised compare,
-    and hands each block *views* into the sorted row-id vectors — no
-    per-valuation python work at all.  Produces the same answer → valuation
-    multiset as :func:`_group_by_head` (the property suite pins it).
-    """
-    np = _numpy
-    cols = [np.asarray(block_vars[variable], dtype=np.int64)
-            for variable in head_vars]
-    if len(cols) == 1:
-        sort_index = np.argsort(cols[0], kind="stable")
-    else:
-        # lexsort keys: last key is primary; reverse for head-order majors.
-        sort_index = np.lexsort(tuple(cols[::-1]))
-    sorted_cols = [column[sort_index] for column in cols]
-    is_boundary = np.zeros(length, dtype=bool)
-    is_boundary[0] = True
-    for column in sorted_cols:
-        is_boundary[1:] |= column[1:] != column[:-1]
-    boundaries = np.flatnonzero(is_boundary)
-    ends = np.append(boundaries[1:], length)
-    rowid_sorted = [
-        np.asarray(column, dtype=np.int64)[sort_index]
-        for column in rowid_columns
-    ]
-    shared_rows = tuple(atom_rows)
-    groups: Dict[Answer, ValuationBlock] = {}
-    for begin, end in zip(boundaries.tolist(), ends.tolist()):
-        assignment = _head_assignment(query, shared_rows, rowid_sorted,
-                                      begin)
-        head = tuple(
-            assignment[term] if isinstance(term, Variable) else term.value
-            for term in query.head
-        )
-        rowids = tuple(column[begin:end] for column in rowid_sorted)
         groups[head] = ValuationBlock(shared_rows, rowids)
     return groups
 

@@ -36,7 +36,7 @@ from typing import (
 
 from ..exceptions import SchemaError
 from .schema import Schema
-from .tuples import Tuple
+from .tuples import Tuple, check_values
 
 
 class Database:
@@ -93,7 +93,12 @@ class Database:
     # insertion / removal
     # ------------------------------------------------------------------ #
     def add(self, tup: Tuple, endogenous: Optional[bool] = None) -> Tuple:
-        """Insert a :class:`Tuple`; returns the tuple for chaining."""
+        """Insert a :class:`Tuple`; returns the tuple for chaining.
+
+        Raises :class:`SchemaError` for a value outside the value domain
+        (:func:`~repro.relational.tuples.check_values`) or a schema mismatch.
+        """
+        check_values(tup)
         if self.schema is not None:
             if tup.relation not in self.schema:
                 raise SchemaError(f"unknown relation {tup.relation!r}")

@@ -46,7 +46,7 @@ from typing import (
 
 from ..exceptions import CausalityError, SchemaError
 from .database import Database
-from .tuples import Tuple
+from .tuples import Tuple, check_values
 
 
 class DatabaseDelta:
@@ -154,15 +154,17 @@ class DatabaseDelta:
         return frozenset(changed)
 
     def validate_against(self, database: Database) -> None:
-        """Raise :class:`SchemaError` if an insert violates the schema.
+        """Raise :class:`SchemaError` if an insert violates the value domain
+        (:func:`~repro.relational.tuples.check_values`) or the schema.
 
         Run by :meth:`apply_to` (and by the backend sessions *before* any
         backend mutation), so a rejected delta never leaves either side
         half-applied.
         """
-        if database.schema is None:
-            return
         for tup, _ in self.insert_items():
+            check_values(tup)
+            if database.schema is None:
+                continue
             if tup.relation not in database.schema:
                 raise SchemaError(f"unknown relation {tup.relation!r}")
             expected = database.schema.arity_of(tup.relation)

@@ -357,9 +357,7 @@ class QueryEvaluator:
         return order
 
     # ------------------------------------------------------------------ #
-    def _blocks(self, query: ConjunctiveQuery,
-                use_numpy: Optional[bool] = None,
-                ) -> Dict[Answer, ValuationBlock]:
+    def _blocks(self, query: ConjunctiveQuery) -> Dict[Answer, ValuationBlock]:
         """Plan ``query`` and run the columnar kernel: one block per answer.
 
         Block keys are the head tuples, constants included, and ``()`` for
@@ -370,8 +368,7 @@ class QueryEvaluator:
             return {}
         order = self._atom_order(plans)
         stores = [self._store_for(plan.atom) for plan in plans]
-        return run_pass(query, plans, order, stores, self.stats,
-                        use_numpy=use_numpy)
+        return run_pass(query, plans, order, stores, self.stats)
 
     def _materialise(self, query: ConjunctiveQuery,
                      block: ValuationBlock) -> List[Valuation]:
@@ -393,14 +390,8 @@ class QueryEvaluator:
             yield from self._materialise(query, block)
 
     def valuations_blocks(
-            self, query: ConjunctiveQuery,
-            use_numpy: Optional[bool] = None,
-    ) -> Dict[Answer, ValuationBlock]:
+            self, query: ConjunctiveQuery) -> Dict[Answer, ValuationBlock]:
         """The full pass: one lazy :class:`ValuationBlock` per answer.
-
-        ``use_numpy`` forces the probe path: ``None`` (default) uses the
-        vectorised probe when NumPy is importable, ``False`` pins the pure
-        path (differential-testing baseline), ``True`` requires NumPy.
 
         :attr:`stats` is reset first, so the counters describe the most
         recent full pass plus the residual kernel runs since (delta
@@ -408,7 +399,7 @@ class QueryEvaluator:
         """
         self.stats.reset()
         self.stats.columnar_passes += 1
-        return self._blocks(query, use_numpy=use_numpy)
+        return self._blocks(query)
 
     def grouped_valuations(
             self, query: ConjunctiveQuery,

@@ -35,10 +35,11 @@ The backend snapshots the database at construction time; a recorded change
 place* with :meth:`SQLiteDatabase.apply_delta` — ``DELETE`` / upsert
 statements against the loaded tables instead of a re-load, which is what
 makes the incremental re-explanation path of
-:class:`~repro.relational.session.SQLiteSession` cheap.  Values must round-trip
-through SQLite's storage classes unchanged, so only ``str``, ``int``,
-``float``, ``bytes`` and ``None`` are accepted (``bool`` is rejected: SQLite
-would hand it back as an integer and silently break cross-engine equality).
+:class:`~repro.relational.session.SQLiteSession` cheap.  Every value already
+lies in the value domain both backends share
+(:func:`~repro.relational.tuples.check_values`, run by ``Database.add`` and
+delta validation), and that domain round-trips through SQLite's storage
+classes unchanged.
 """
 
 from __future__ import annotations
@@ -63,10 +64,9 @@ from .database import Database
 from .delta import DatabaseDelta
 from .evaluation import Valuation
 from .query import ConjunctiveQuery, Constant, Variable
-from .tuples import Tuple
+from .tuples import Tuple, check_values
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-_ALLOWED_VALUE_TYPES = (str, int, float, bytes)
 
 
 _COLUMN_INDEX_SUFFIX_RE = re.compile(r"__ix\d+$")
@@ -120,30 +120,6 @@ def quote_identifier(name: str) -> str:
             f"SQL identifier {name!r} is not a plain identifier")
     _check_relation_name(_DERIVED_SUFFIX_RE.sub("", name))
     return f'"{name}"'
-
-
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
-
-
-def _check_value(relation: str, value: Any) -> None:
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, _ALLOWED_VALUE_TYPES):
-        raise BackendError(
-            f"value {value!r} in relation {relation!r} does not round-trip "
-            "through SQLite (allowed: str, int, float, bytes, None)"
-        )
-    if isinstance(value, int) and not _INT64_MIN <= value <= _INT64_MAX:
-        raise BackendError(
-            f"integer {value!r} in relation {relation!r} exceeds SQLite's "
-            "64-bit INTEGER range"
-        )
-    if isinstance(value, float) and value != value:
-        # sqlite3 binds NaN as NULL, which would silently change answers.
-        raise BackendError(
-            f"NaN in relation {relation!r} does not round-trip through "
-            "SQLite (it is stored as NULL)"
-        )
 
 
 class _ValuationSQL:
@@ -371,12 +347,11 @@ class SQLiteDatabase:
                 )
             arity = arities.pop()
             self._create_relation(relation, arity)
-            rows = []
-            for tup in sorted(tuples):
-                for value in tup.values:
-                    _check_value(relation, value)
-                rows.append(tuple(tup.values)
-                            + (1 if database.is_endogenous(tup) else 0,))
+            # ``Database.add`` already checked every value against the
+            # value domain, which SQLite stores exactly.
+            rows = [tuple(tup.values)
+                    + (1 if database.is_endogenous(tup) else 0,)
+                    for tup in sorted(tuples)]
             placeholders = ", ".join("?" for _ in range(arity + 1))
             self._connection.executemany(
                 f"INSERT INTO {quote_identifier(relation)} "
@@ -436,8 +411,7 @@ class SQLiteDatabase:
         # touch rows: a rejected delta must leave the loaded data intact,
         # so sessions can mutate backend-first without desyncing.
         for tup, _ in delta.insert_items():
-            for value in tup.values:
-                _check_value(tup.relation, value)
+            check_values(tup)
         for tup, _ in delta.insert_items():
             self.ensure_relation(tup.relation, tup.arity)
         for tup in sorted(delta.delete_tuples()):

@@ -13,6 +13,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence, Tuple as TypingTuple
 
+from ..exceptions import SchemaError
+
+#: The integer range both backends store exactly (SQLite's 64-bit INTEGER).
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
 
 class Tuple:
     """An immutable relational fact ``R(v1, ..., vk)``.
@@ -100,6 +105,39 @@ class Tuple:
     def __repr__(self) -> str:
         inner = ", ".join(repr(v) for v in self._values)
         return f"{self._relation}({inner})"
+
+
+def check_values(tup: Tuple) -> None:
+    """Raise :class:`SchemaError` unless every value of ``tup`` is in the
+    value domain, which both backends store and compare alike.
+
+    The domain is ``None``, ``str``, ``bytes``, ``float`` other than NaN
+    (SQLite would store it as NULL) and ``int`` within the 64-bit range.
+    ``bool`` is excluded: it equals ``1`` in Python and comes back as ``1``
+    from SQLite, so ``R(True)`` would be reported differently per backend.
+
+    >>> check_values(Tuple("R", ("a", 1, 2.5, None, b"x")))
+    >>> check_values(Tuple("R", (True,)))
+    Traceback (most recent call last):
+    ...
+    repro.exceptions.SchemaError: value True in relation 'R' is outside the value domain (str, bytes, int, float, None; not bool)
+    """
+    for value in tup.values:
+        if value is None or isinstance(value, (str, bytes)):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(
+                f"value {value!r} in relation {tup.relation!r} is outside "
+                "the value domain (str, bytes, int, float, None; not bool)")
+        if isinstance(value, int):
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                raise SchemaError(
+                    f"integer {value!r} in relation {tup.relation!r} is "
+                    "outside the 64-bit range of the value domain")
+        elif value != value:
+            raise SchemaError(
+                f"NaN in relation {tup.relation!r} is outside the value "
+                "domain")
 
 
 def value_sort_key(values: Sequence[Any]) -> TypingTuple[Any, ...]:

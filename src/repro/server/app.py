@@ -222,25 +222,11 @@ class ExplanationServer:
             # Runs on the session's worker thread.
             loop.call_soon_threadsafe(chunks.put_nowait, (targets, results))
 
-        async def run() -> Any:
-            try:
-                if op == "explain-batch":
-                    return await session.explain_batch(
-                        frame.get("answers"),
-                        on_chunk=on_chunk if stream else None)
-                return await session.whyno(
-                    domains=frame.get("domains"),
-                    max_candidates=frame.get("max_candidates"),
-                    on_chunk=on_chunk if stream else None)
-            finally:
-                chunks.put_nowait(_DONE)
-
-        task = asyncio.ensure_future(run())
-        try:
+        async def pump() -> None:
             while True:
                 item = await chunks.get()
                 if item is _DONE:
-                    break
+                    return
                 targets, results = item
                 delivered.extend(targets)
                 if stream:
@@ -248,15 +234,38 @@ class ExplanationServer:
                         "id": request_id, "type": "chunk",
                         "explanations": explanations_to_wire(
                             results, order=targets)})
-            epoch, results = await task
+
+        # The session call is awaited here, in the request task, so its job
+        # is queued before this task first yields — in frame order, like
+        # every other op.  Chunks are written from a sub-task meanwhile.
+        pumper = asyncio.ensure_future(pump())
+        try:
+            try:
+                if op == "explain-batch":
+                    epoch, results = await session.explain_batch(
+                        frame.get("answers"),
+                        on_chunk=on_chunk if stream else None)
+                else:
+                    epoch, results = await session.whyno(
+                        domains=frame.get("domains"),
+                        max_candidates=frame.get("max_candidates"),
+                        on_chunk=on_chunk if stream else None)
+            finally:
+                chunks.put_nowait(_DONE)
+            await pumper
         except asyncio.CancelledError:
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
+            pumper.cancel()
+            await asyncio.gather(pumper, return_exceptions=True)
             raise
         except FanOutWorkerError as error:
+            await pumper
             await conn.send(_partial_error_frame(
                 request_id, error, delivered, stream))
             return
+        except Exception:
+            # Chunks delivered before the failure precede its error frame.
+            await pumper
+            raise
         terminal = {
             "id": request_id, "type": "end" if stream else "result",
             "epoch": epoch, "count": len(results), "partial": False,

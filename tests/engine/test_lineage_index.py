@@ -205,7 +205,7 @@ class TestMixedTypeValues:
     type-tolerant ``Tuple.sort_key`` (the why-no path's ordering), so one
     relation holding strings *and* ints cannot break refresh."""
 
-    @pytest.mark.parametrize("backend", ["memory"])
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_refresh_with_mixed_type_tuples(self, backend):
         db = Database()
         db.add_fact("R", "a", 1)
@@ -213,7 +213,7 @@ class TestMixedTypeValues:
         db.add_fact("S", 1)
         explainer = BatchExplainer(QUERY, db, backend=backend)
         explainer.explain_all()
-        delta = DatabaseDelta(inserts=[Tuple("R", (("t", 3), 1)),
+        delta = DatabaseDelta(inserts=[Tuple("R", (b"t3", 1)),
                                        Tuple("R", ("z", 1))],
                               deletes=[Tuple("R", ("a", 1))])
         report = explainer.refresh(delta)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import explain
 from repro.engine import WhyNoBatchExplainer, batch_explain_whyno, whyno_batch
-from repro.exceptions import BackendError, CausalityError
+from repro.exceptions import CausalityError, SchemaError
 from repro.lineage import (
     batch_candidate_missing_tuples,
     candidate_missing_tuples,
@@ -274,10 +274,10 @@ class TestConstructionFailureClosesSession:
         pytest.param({"non_answers": [("c",)], "max_candidates": 1},
                      CausalityError, id="max-candidates-exceeded"),
         pytest.param({"non_answers": [("c",)], "domains": {"y": [True]}},
-                     BackendError, id="value-sqlite-cannot-store"),
+                     SchemaError, id="value-outside-domain"),
         pytest.param({"non_answers": [("c",)],
                       "candidates": [Tuple("S", (True,))]},
-                     BackendError, id="explicit-candidate-sqlite-cannot-store"),
+                     SchemaError, id="explicit-candidate-outside-domain"),
     ])
     def test_sqlite_connection_closed(self, monkeypatch, kwargs, error):
         opened = []

@@ -12,7 +12,6 @@ across the randomized space:
   ``valuations_blocks``, the materialised ``valuations()``, ``holds`` and
   ``answers`` equal the SQLite backend's — on plain queries and on queries
   whose atoms carry random ``^n``/``^x`` annotations;
-* the NumPy and pure-python probe paths produce the same blocks;
 * a *live* evaluator patched through ``apply_changes`` produces the same
   blocks as a fresh evaluator on the mutated instance (the
   incremental-refresh path must keep the dictionary encodings exact);
@@ -99,9 +98,8 @@ def grouped_valuations(evaluator, query):
     return {head: canonical(group) for head, group in grouped.items()}
 
 
-def grouped_blocks(evaluator, query, use_numpy=None):
-    kwargs = {} if use_numpy is None else {"use_numpy": use_numpy}
-    blocks = evaluator.valuations_blocks(query, **kwargs)
+def grouped_blocks(evaluator, query):
+    blocks = evaluator.valuations_blocks(query)
     return {head: canonical(materialize_conjuncts(group))
             for head, group in blocks.items()}
 
@@ -125,19 +123,6 @@ class TestKernelEqualsSQLite:
             boolean = query.as_boolean()
             assert kernel.holds(boolean) == sql.holds(boolean) \
                 == bool(expected)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_numpy_equals_pure(self, seed):
-        numpy = pytest.importorskip("numpy")
-        assert numpy is not None
-        rng = random.Random(4300 + seed)
-        db = random_instance(rng)
-        for _ in range(3):
-            query = random_query(rng)
-            pure = grouped_blocks(QueryEvaluator(db), query, use_numpy=False)
-            vectorised = grouped_blocks(QueryEvaluator(db), query,
-                                        use_numpy=True)
-            assert vectorised == pure
 
     @pytest.mark.parametrize("seed", range(6))
     def test_adapter_matches_blocks(self, seed):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import actual_causes, generate_cause_program
 from repro.engine import WhyNoBatchExplainer
-from repro.exceptions import BackendError
+from repro.exceptions import BackendError, SchemaError
 from repro.relational import (
     Atom,
     ConjunctiveQuery,
@@ -86,23 +86,18 @@ class TestLoading:
             SQLiteDatabase(db)
 
     def test_bool_values_rejected(self):
-        db = Database()
-        db.add_fact("R", True)
-        with pytest.raises(BackendError):
-            SQLiteDatabase(db)
+        # Rejected when added, on either backend (the one value domain).
+        with pytest.raises(SchemaError):
+            Database().add_fact("R", True)
 
     def test_unrepresentable_values_rejected(self):
-        db = Database()
-        db.add_fact("R", (1, 2))
-        with pytest.raises(BackendError):
-            SQLiteDatabase(db)
+        with pytest.raises(SchemaError):
+            Database().add_fact("R", (1, 2))
 
     def test_nan_rejected_instead_of_becoming_null(self):
         # sqlite3 binds NaN as NULL, which would silently change answers.
-        db = Database()
-        db.add_fact("R", float("nan"))
-        with pytest.raises(BackendError):
-            SQLiteDatabase(db)
+        with pytest.raises(SchemaError):
+            Database().add_fact("R", float("nan"))
 
     def test_infinity_round_trips(self):
         db = Database()
@@ -112,10 +107,8 @@ class TestLoading:
             == {(float("inf"),)}
 
     def test_out_of_range_integers_rejected(self):
-        db = Database()
-        db.add_fact("R", 2 ** 70)
-        with pytest.raises(BackendError):
-            SQLiteDatabase(db)
+        with pytest.raises(SchemaError):
+            Database().add_fact("R", 2 ** 70)
 
     def test_sql_keyword_relation_name_loads(self):
         # "Order" is a SQL keyword; every generated identifier is routed
@@ -240,11 +233,10 @@ class TestProgramExecution:
 
 
 class TestWhyNoOnSQLite:
-    def test_unstorable_domain_value_raises_backend_error(self, example22):
-        # Candidates are generated in Python on both backends; one SQLite
-        # cannot store surfaces as a typed error when the combined instance
-        # is loaded.
-        with pytest.raises(BackendError):
+    def test_out_of_domain_value_raises_schema_error(self, example22):
+        # Candidates are generated in Python on both backends; one outside
+        # the value domain is rejected when the combined instance is built.
+        with pytest.raises(SchemaError):
             WhyNoBatchExplainer(parse_query("q(x) :- R(x, y), S(y)"),
                                 example22, non_answers=[("a9",)],
                                 domains={"y": [True]}, backend="sqlite")

@@ -18,6 +18,7 @@ when the thread is stuck and when it is released.
 
 import multiprocessing
 import os
+import socket
 import threading
 import time
 
@@ -27,6 +28,7 @@ from repro.engine import batch as batch_module
 from repro.engine._pool import FanOutSpec
 from repro.exceptions import AdmissionError, RequestTimeout, ServerError
 from repro.server import AdmissionPolicy, SessionConfig, running_server
+from repro.server.protocol import decode_frame, encode_frame
 
 from .conftest import QUERY_TEXT, example_payload
 
@@ -186,6 +188,36 @@ class TestWorkerQueueOrder:
             pipelined.close()
             assert all(f["type"] == "result" for f in frames), frames
             assert {f["id"]: f["epoch"] for f in frames} == {1: 0, 2: 1, 3: 1}
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_batch_then_delta_keep_frame_order(self, stream):
+        """A streaming op queues its job in frame order, like ``explain``."""
+        with running_server([_config(max_pending=8)]) as harness:
+            entered, release = _block_worker(harness)
+            blocker = harness.client()
+            blocker.send_raw({"id": 0, "op": "explain", "session": "mem",
+                              "answer": ["a4"]})
+            assert entered.wait(timeout=10)
+            # Both frames in one write, so the server reads them in one go.
+            with socket.create_connection((harness.host, harness.port),
+                                          timeout=10) as sock:
+                sock.sendall(
+                    encode_frame({"id": 1, "op": "explain-batch",
+                                  "session": "mem", "stream": stream})
+                    + encode_frame({"id": 2, "op": "delta", "session": "mem",
+                                    "changes": DELETE_S3}))
+                gate = harness.server.registry.get("mem").gate
+                assert _poll(lambda: gate.pending == 3)
+                release.set()
+                epochs = {}
+                with sock.makefile("rb") as lines:
+                    while len(epochs) < 2:
+                        frame = decode_frame(lines.readline())
+                        if frame["type"] != "chunk":
+                            epochs[frame["id"]] = frame["epoch"]
+            assert blocker.recv()["epoch"] == 0
+            blocker.close()
+            assert epochs == {1: 0, 2: 1}
 
     def test_request_timeout_counts_the_wait_behind_a_delta(self):
         with running_server([_config(max_pending=8,
