@@ -14,8 +14,8 @@ fan-out stays constant):
 
 * at the largest tier, ``refresh_all`` beats ``legacy_refresh`` — a faithful
   re-implementation of the pre-index algorithm (group sweep,
-  ``_key_mentions`` cache walk, full exogenous rebuild, evaluator index
-  rebuild) run against the same engine state — by ≥ 5×;
+  ``_key_mentions`` cache walk, full exogenous rebuild, evaluator
+  column-store rebuild) run against the same engine state — by ≥ 5×;
 * the indexed refresh time grows by at most 2× from the 1× tier to the
   100× tier, i.e. it tracks the delta, not the instance.
 
@@ -36,6 +36,7 @@ from repro.engine import BatchExplainer
 from repro.lineage.boolean_expr import PositiveDNF
 from repro.relational.columnar import materialize_conjuncts
 from repro.relational import DatabaseDelta, evaluate, parse_query
+from repro.relational.evaluation import QueryEvaluator
 from repro.relational.tuples import Tuple
 from repro.workloads import random_two_table_instance
 
@@ -114,7 +115,7 @@ def legacy_refresh(explainer, delta):
 
     Group dirtiness by sweeping **every** answer, cache invalidation by
     walking **every** entry, plus the full exogenous-set rebuild and (memory
-    backend) the evaluator index rebuild the old session forced — all
+    backend) the evaluator column-store rebuild the old session forced — all
     Θ(instance) or Θ(answers), none of it delta-sized.  The engine state it
     leaves behind is exact (the property suite pins the algorithm), so a
     delta/inverse pair restores the starting state.
@@ -128,10 +129,10 @@ def legacy_refresh(explainer, delta):
         _drop_entry(cache, key)
     if not changed:
         return
-    if hasattr(explainer._evaluator, "_indexes"):
+    if isinstance(explainer._evaluator, QueryEvaluator):
         # The legacy session rebuilt its evaluator wholesale per delta; the
-        # next valuations() call pays the Θ(instance) index build.
-        explainer._evaluator._indexes = {}
+        # next valuations() call pays the Θ(instance) column-store build.
+        explainer._evaluator._stores = {}
     stale = set()
     for answer in list(explainer._conjuncts):
         group = materialize_conjuncts(explainer._conjuncts[answer])

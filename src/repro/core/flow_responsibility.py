@@ -54,6 +54,13 @@ This is sound for three reasons:
   database, and an extension with a value outside that domain completes no
   path.
 
+:class:`FlowEngine` enumerates those valuations through the evaluator it
+is given and reads the database from ``evaluator.database``; it keeps no
+copy of the data of its own.  The batch engine hands every bound query its
+session's evaluator (the memory kernel, whose column stores the open-query
+pass already built, or the SQLite evaluator), and :func:`flow_responsibility`
+a fresh :class:`~repro.relational.evaluation.QueryEvaluator`.
+
 Endogenous status is still read from the whole database: an atom's status
 (and so the weakening and the dichotomy decision) through
 :func:`~repro.core.abstract.abstract_query`, and each edge's capacity through
@@ -82,11 +89,11 @@ from ..exceptions import CausalityError, NotLinearError
 from ..flow.maxflow import max_flow
 from ..flow.network import INFINITY, FlowNetwork
 from ..relational.database import Database
-from ..relational.evaluation import QueryEvaluator
-from ..relational.query import Atom, ConjunctiveQuery, Constant, Variable
+from ..relational.evaluation import QueryEvaluator, Valuation
+from ..relational.query import Atom, ConjunctiveQuery
 from ..relational.query import match_atom as _match_atom_terms
 from ..relational.tuples import Tuple
-from .abstract import AbstractQuery, abstract_query
+from .abstract import abstract_query
 from .definitions import responsibility_value
 from .weakening import WeakeningResult, find_weakening
 
@@ -108,7 +115,7 @@ class FlowResponsibilityResult:
 
     def __init__(self, responsibility: Fraction,
                  min_contingency: Optional[FrozenSet[Tuple]],
-                 witnesses: int, weakening: WeakeningResult):
+                 witnesses: int, weakening: WeakeningResult) -> None:
         self.responsibility = responsibility
         self.min_contingency = min_contingency
         self.witnesses = witnesses
@@ -158,7 +165,7 @@ class _AtomLayer:
 
     def __init__(self, concrete: Atom, abstract_vars: FrozenSet[str],
                  added_vars: FrozenSet[str], endogenous: bool,
-                 matches: List[TypingTuple[Dict[str, Any], Tuple]]):
+                 matches: List[TypingTuple[Dict[str, Any], Tuple]]) -> None:
         self.concrete = concrete
         self.abstract_vars = abstract_vars
         self.added_vars = added_vars
@@ -256,10 +263,9 @@ def build_flow_network(layers: Sequence[_AtomLayer], database: Database
         for match_index, (assignment, tup) in enumerate(layer.matches):
             left = node_for(layer_index, assignment)
             right = node_for(layer_index + 1, assignment)
+            capacity: float = INFINITY
             if layer.endogenous and database.is_endogenous(tup):
                 capacity = 1
-            else:
-                capacity = INFINITY
             edge = network.add_edge(left, right, capacity, label=tup)
             edge_map[(layer_index, match_index)] = edge
     return network, edge_map
@@ -288,9 +294,11 @@ class FlowEngine:
     :func:`flow_responsibility` behaviour.
 
     The layers are lineage-local: they hold only the tuples of the engine's
-    own valuations of the bound query, so one answer costs O(its lineage),
-    not O(the database).  Atom status and base capacities still come from
-    the whole database.  The module docstring gives the soundness argument
+    own valuations of the bound query, enumerated through ``evaluator`` (a
+    ``valuations``-capable evaluator over the instance, e.g. a session's
+    :attr:`~repro.relational.session.BackendSession.evaluator`), so one
+    answer costs O(its lineage), not O(the database).  Atom status and
+    base capacities still come from the whole database.  The module docstring gives the soundness argument
     (Theorem 3.2, Lemma 4.10, domination by the inspected atom only).
 
     Among minimum contingencies of equal size, the one with the smallest
@@ -302,7 +310,7 @@ class FlowEngine:
     relation — mirroring the per-call API.
     """
 
-    def __init__(self, query: ConjunctiveQuery, database: Database):
+    def __init__(self, query: ConjunctiveQuery, evaluator: Any) -> None:
         if not query.is_boolean:
             raise CausalityError(
                 "flow_responsibility expects a Boolean query; bind the answer first"
@@ -311,18 +319,18 @@ class FlowEngine:
             raise NotLinearError(
                 "the flow algorithm requires a query without self-joins")
         self.query = query
-        self.database = database
-        self._abstract = abstract_query(query, database=database)
-        self._valuations: Optional[List] = None
+        self._evaluator = evaluator
+        self.database: Database = evaluator.database
+        self._abstract = abstract_query(query, database=self.database)
+        self._valuations: Optional[List[Valuation]] = None
         # relation -> (None, None) when no sound weakening protects it, else
         # (weakening, (layers, base network, (layer, match) -> edge))
         self._plans: Dict[str, TypingTuple[Optional[WeakeningResult],
                                            Optional[_Plan]]] = {}
 
-    def _all_valuations(self) -> List:
+    def _all_valuations(self) -> List[Valuation]:
         if self._valuations is None:
-            evaluator = QueryEvaluator(self.database)
-            self._valuations = list(evaluator.valuations(self.query))
+            self._valuations = list(self._evaluator.valuations(self.query))
         return self._valuations
 
     def _plan_for(self, relation: str
@@ -460,7 +468,7 @@ def flow_responsibility(query: ConjunctiveQuery, database: Database,
     Use :class:`FlowEngine` directly to amortise the valuation and layer
     construction over many tuples of the same query.
     """
-    return FlowEngine(query, database).responsibility(tuple_)
+    return FlowEngine(query, QueryEvaluator(database)).responsibility(tuple_)
 
 
 def flow_responsibility_value(query: ConjunctiveQuery, database: Database,

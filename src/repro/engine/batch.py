@@ -10,7 +10,9 @@ is shared:
   conjuncts of *every* answer at once — a valuation whose head values equal
   ``ā`` is exactly a valuation of the bound query ``q[ā/x̄]``, so grouping
   valuations by head tuple reproduces each answer's lineage bit-exactly;
-* the relation indexes of the shared :class:`QueryEvaluator` are built once;
+* the column stores of the session's :class:`QueryEvaluator` are built
+  once, and every answer's flow engine enumerates its bound query through
+  that same evaluator;
 * the exact engine's minimum contingencies are memoized per (simplified
   n-lineage, inspected tuple) in a :class:`~repro.engine.cache.LineageCache`,
   which a refresh invalidates per changed tuple.
@@ -260,7 +262,7 @@ class BatchExplainer:
         engine = self._flow_engines.get(bound)
         if engine is None:
             try:
-                engine = FlowEngine(bound, self.database)
+                engine = FlowEngine(bound, self._evaluator)
             except NotLinearError as error:
                 engine = error
             self._flow_engines[bound] = engine

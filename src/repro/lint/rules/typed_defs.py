@@ -1,8 +1,9 @@
 """Rule ``typed-defs``: full signatures in the strict-mypy tier.
 
 ``mypy --strict``-style checking (``disallow_untyped_defs``) for
-``engine/``, ``relational/session.py``, ``relational/evaluation.py`` and
-``relational/columnar.py`` runs in CI, but mypy is not part of the runtime
+``engine/``, ``relational/session.py``, ``relational/evaluation.py``,
+``relational/columnar.py`` and ``core/flow_responsibility.py`` runs in CI,
+but mypy is not part of the runtime
 container.  This rule enforces the *presence* half of that contract
 locally — every ``def`` in the strict tier annotates all of its parameters
 (``self``/``cls`` excepted) and its return type — so an unannotated
@@ -20,11 +21,12 @@ from ..framework import ModuleContext, Finding, Rule
 
 class TypedDefsRule(Rule):
     id = "typed-defs"
-    summary = ("every def in engine/ and the typed relational modules "
-               "(session, evaluation, columnar) annotates all parameters "
-               "and the return type")
+    summary = ("every def in engine/, the typed relational modules "
+               "(session, evaluation, columnar) and the flow engine "
+               "annotates all parameters and the return type")
     scope = ("engine/", "relational/session.py",
-             "relational/evaluation.py", "relational/columnar.py")
+             "relational/evaluation.py", "relational/columnar.py",
+             "core/flow_responsibility.py")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -9,11 +9,14 @@ it around *columnar batches* instead:
 * a :class:`ValueDictionary` maps every database value to a small integer
   code, once per evaluator — joins then compare ints, never rich values
   (``None`` has a code like any value, so it joins with itself);
-* a :class:`ColumnStore` per ``(relation, status)`` keeps the dictionary-
-  encoded value column of every queried position, aligned with an
-  insertion-ordered row list, and is patched per tuple by
-  ``QueryEvaluator.apply_changes`` (swap-delete keeps the columns dense) —
-  an unpruned atom reuses the store's columns with **zero** copying;
+* a :class:`ColumnStore` per ``(relation, status)`` is the evaluator's one
+  stored form of that tuple set: an insertion-ordered row list, the
+  dictionary-encoded value column of every queried position, and lazily
+  built per-position *postings* (code → ascending row ids) through which
+  constants resolve.  ``QueryEvaluator.apply_changes`` patches all three
+  per tuple (swap-delete keeps the columns dense); an atom the planner
+  did not prune reuses the store's columns with **zero** copying, a pruned
+  one gathers its surviving rows' codes (:meth:`ColumnStore.gather`);
 * :func:`run_pass` executes the greedy plan of
   :class:`~repro.relational.evaluation.QueryEvaluator` (``_build_plans`` /
   ``_atom_order`` are the planners) as block-at-a-time hash joins: the
@@ -34,7 +37,7 @@ one costs resident memory), so there is one probe and one grouping.
 
 Everything downstream is canonical (``PositiveDNF`` is a frozenset of
 frozensets, answers are sorted by value), so block row order — which follows
-the per-process candidate-set iteration order — never reaches an
+store row order, seeded from hash-ordered tuple sets — never reaches an
 explanation; the property suite ``tests/property/test_columnar_pass.py``
 pins the kernel ≡ SQLite bit-exactly.
 """
@@ -42,6 +45,7 @@ pins the kernel ≡ SQLite bit-exactly.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
 from typing import (
     Any,
     Dict,
@@ -55,7 +59,6 @@ from typing import (
     Set,
     Tuple as TypingTuple,
 )
-from typing import AbstractSet, Protocol
 
 from .query import ConjunctiveQuery, Variable
 from .tuples import Tuple
@@ -101,35 +104,33 @@ class PassStats:
 
 
 class ValueDictionary:
-    """Bidirectional value ↔ small-int code map, shared per evaluator.
+    """Value → small-int code map, shared per evaluator.
 
     Codes are append-only: a deleted tuple's values keep their codes (they
-    cost one list slot and stay correct if the value returns), which is what
+    cost one dict slot and stay correct if the value returns), which is what
     lets ``apply_changes`` patch column stores without re-encoding anything.
     """
 
-    __slots__ = ("_codes", "_values")
+    __slots__ = ("_codes",)
 
     def __init__(self) -> None:
         self._codes: Dict[Any, int] = {}
-        self._values: List[Any] = []
 
     def encode(self, value: Any) -> int:
         code = self._codes.get(value)
         if code is None:
-            code = len(self._values)
-            self._codes[value] = code
-            self._values.append(value)
+            code = self._codes[value] = len(self._codes)
         return code
 
-    def decode(self, code: int) -> Any:
-        return self._values[code]
+    def lookup(self, value: Any) -> Optional[int]:
+        """The code of ``value``, or ``None`` if no row ever held it."""
+        return self._codes.get(value)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._codes)
 
     def __repr__(self) -> str:
-        return f"ValueDictionary({len(self._values)} value(s))"
+        return f"ValueDictionary({len(self._codes)} value(s))"
 
 
 class ColumnStore:
@@ -137,12 +138,15 @@ class ColumnStore:
 
     ``rows`` is insertion-ordered and stays aligned with every built column;
     deletion swap-moves the last row into the hole so the columns remain
-    dense.  Columns are built lazily per position — only positions some
-    query actually touches are ever encoded.  A position beyond a tuple's
-    arity encodes as ``-1``, which no real code equals.
+    dense.  Columns are built lazily per position, so only positions some
+    query touches are ever encoded; postings (code → row ids, ascending)
+    likewise, for the positions constants bind.  Every row has its
+    relation's one arity (``Database.add`` enforces it), and an emptied
+    store drops its columns, so a relation refilled at another arity starts
+    afresh.
     """
 
-    __slots__ = ("dictionary", "rows", "_rowids", "_columns")
+    __slots__ = ("dictionary", "rows", "_rowids", "_columns", "_postings")
 
     def __init__(self, dictionary: ValueDictionary,
                  tuples: Iterable[Tuple]) -> None:
@@ -150,59 +154,106 @@ class ColumnStore:
         self.rows: List[Tuple] = list(tuples)
         self._rowids: Optional[Dict[Tuple, int]] = None
         self._columns: Dict[int, CodeColumn] = {}
+        self._postings: Dict[int, Dict[int, List[int]]] = {}
 
-    def encode_rows(self, rows: Iterable[Tuple], position: int) -> CodeColumn:
-        """The codes of one position over ``rows``."""
-        encode = self.dictionary.encode
-        return [
-            encode(tup.values[position]) if position < len(tup.values) else -1
-            for tup in rows
-        ]
+    @property
+    def arity(self) -> Optional[int]:
+        """The arity of the rows, ``None`` while the store is empty."""
+        return len(self.rows[0].values) if self.rows else None
 
     def column(self, position: int) -> CodeColumn:
         """The code column of one position, built on first use."""
         column = self._columns.get(position)
         if column is None:
-            column = self._columns[position] = \
-                self.encode_rows(self.rows, position)
+            encode = self.dictionary.encode
+            column = self._columns[position] = [
+                encode(tup.values[position]) for tup in self.rows]
         return column
 
+    def postings(self, position: int) -> Dict[int, List[int]]:
+        """Code → ascending row ids of one position, built on first use."""
+        postings = self._postings.get(position)
+        if postings is None:
+            postings = self._postings[position] = {}
+            for rowid, code in enumerate(self.column(position)):
+                postings.setdefault(code, []).append(rowid)
+        return postings
+
+    def gather(
+            self, rowids: Optional[Sequence[int]],
+            positions: Mapping[Variable, int],
+    ) -> TypingTuple[List[Tuple], Dict[Variable, CodeColumn]]:
+        """Rows and per-variable code columns of a row selection.
+
+        ``rowids`` of ``None`` selects every row: the store's own columns
+        are returned without copying (they are only read during one pass).
+        The row list is always fresh, because blocks outlive the pass and
+        later swap-deletes mutate the live ``rows``.
+        """
+        if rowids is None:
+            return list(self.rows), {
+                variable: self.column(position)
+                for variable, position in positions.items()
+            }
+        columns: Dict[Variable, CodeColumn] = {}
+        for variable, position in positions.items():
+            column = self.column(position)
+            columns[variable] = [column[index] for index in rowids]
+        rows = self.rows
+        return [rows[index] for index in rowids], columns
+
     def _ids(self) -> Dict[Tuple, int]:
-        """Row id of every row, built on the first membership check."""
+        """Row id of every row, built on the first patch."""
         if self._rowids is None:
             self._rowids = {tup: index for index, tup in enumerate(self.rows)}
         return self._rowids
 
     def update_membership(self, tup: Tuple, present: bool) -> None:
-        """Patch one tuple in or out, keeping every built column aligned."""
+        """Patch one tuple in or out, keeping columns and postings aligned."""
         rowids = self._ids()
         if present:
             if tup in rowids:
                 return
-            rowids[tup] = len(self.rows)
+            rowid = rowids[tup] = len(self.rows)
             self.rows.append(tup)
+            encode = self.dictionary.encode
             for position, column in self._columns.items():
-                column.extend(self.encode_rows((tup,), position))
-        else:
-            index = rowids.pop(tup, None)
-            if index is None:
-                return
-            last_index = len(self.rows) - 1
+                code = encode(tup.values[position])
+                column.append(code)
+                postings = self._postings.get(position)
+                if postings is not None:
+                    postings.setdefault(code, []).append(rowid)
+            return
+        index = rowids.pop(tup, None)
+        if index is None:
+            return
+        last_index = len(self.rows) - 1
+        for position, postings in self._postings.items():
+            column = self._columns[position]
+            bucket = postings[column[index]]
+            del bucket[bisect_left(bucket, index)]
+            if not bucket:
+                del postings[column[index]]
             if index != last_index:
-                last = self.rows[last_index]
-                self.rows[index] = last
-                rowids[last] = index
-                for column in self._columns.values():
-                    column[index] = column[last_index]
-            self.rows.pop()
+                # The last row has the largest id, so it ends its bucket.
+                moved = postings[column[last_index]]
+                moved.pop()
+                insort(moved, index)
+        if index != last_index:
+            last = self.rows[last_index]
+            self.rows[index] = last
+            rowids[last] = index
             for column in self._columns.values():
-                column.pop()
+                column[index] = column[last_index]
+        self.rows.pop()
+        for column in self._columns.values():
+            column.pop()
+        if not self.rows:
+            self._columns.clear()
+            self._postings.clear()
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __contains__(self, tup: Tuple) -> bool:
-        return tup in self._ids()
 
     def __repr__(self) -> str:
         return (f"ColumnStore({len(self.rows)} row(s), "
@@ -280,38 +331,6 @@ def materialize_conjuncts(group: ConjunctGroup) -> List[FrozenSet[Tuple]]:
     return list(group)
 
 
-class PlanColumns(Protocol):
-    """What :func:`run_pass` reads off a planner's per-atom plan."""
-
-    @property
-    def candidates(self) -> AbstractSet[Tuple]: ...
-
-    @property
-    def var_positions(self) -> Mapping[Variable, int]: ...
-
-
-def _atom_columns(
-        plan: PlanColumns, store: ColumnStore,
-) -> TypingTuple[Sequence[Tuple], Dict[Variable, CodeColumn]]:
-    """Candidate rows and per-variable code columns of one atom.
-
-    An unpruned atom (semi-join and constants removed nothing) reuses the
-    store's rows and columns without copying; a pruned one encodes only its
-    surviving rows, so a bound query never encodes a whole relation.
-    """
-    candidates = plan.candidates
-    if len(candidates) == len(store):
-        return store.rows, {
-            variable: store.column(position)
-            for variable, position in plan.var_positions.items()
-        }
-    rows = list(candidates)
-    return rows, {
-        variable: store.encode_rows(rows, position)
-        for variable, position in plan.var_positions.items()
-    }
-
-
 def _build_hash_table(
         cols: Mapping[Variable, CodeColumn], shared: Sequence[Variable],
 ) -> Dict[Any, List[int]]:
@@ -376,33 +395,23 @@ def _cross_product(
 
 def run_pass(
         query: ConjunctiveQuery,
-        plans: Sequence[PlanColumns],
+        atoms: Sequence[TypingTuple[List[Tuple], Dict[Variable, CodeColumn]]],
         order: Sequence[int],
-        stores: Sequence[ColumnStore],
         stats: PassStats,
 ) -> Dict[Answer, ValuationBlock]:
     """One columnar valuation pass, grouped by head tuple.
 
-    ``plans`` and ``order`` come from the greedy planner of
-    :class:`~repro.relational.evaluation.QueryEvaluator` (``_build_plans``
-    already applied constants, intra-atom repeats and the semi-join
-    fixpoint); ``stores`` is the matching per-atom
-    ``(relation, status)`` column store.  Every run adds to the join and
-    block counters of ``stats``; only the caller knows whether it was a
-    full pass (``columnar_passes``).
+    ``atoms`` holds, per query atom, its candidate rows and their
+    per-variable code columns (:meth:`ColumnStore.gather` of the greedy
+    planner's surviving row ids — ``_build_plans`` of
+    :class:`~repro.relational.evaluation.QueryEvaluator` already applied
+    constants, intra-atom repeats and the semi-join fixpoint); ``order`` is
+    the planner's join order.  Every run adds to the join and block
+    counters of ``stats``; only the caller knows whether it was a full pass
+    (``columnar_passes``).
     """
-    atom_rows: List[Sequence[Tuple]] = []
-    atom_cols: List[Dict[Variable, CodeColumn]] = []
-    for plan, store in zip(plans, stores):
-        rows, cols = _atom_columns(plan, store)
-        if rows is store.rows:
-            # Blocks outlive the pass, and ``apply_changes`` swap-deletes
-            # mutate the live store rows — snapshot the (pointer) list so a
-            # block's row ids stay valid across later deltas.  The code
-            # columns need no copy: they are only read during this pass.
-            rows = list(rows)
-        atom_rows.append(rows)
-        atom_cols.append(cols)
+    atom_rows = [rows for rows, _ in atoms]
+    atom_cols = [cols for _, cols in atoms]
 
     first = order[0]
     length = len(atom_rows[first])
@@ -441,7 +450,7 @@ def run_pass(
     stats.block_rows += length
     if not length:
         return {}
-    rowid_columns = [block_rowids[index] for index in range(len(plans))]
+    rowid_columns = [block_rowids[index] for index in range(len(atoms))]
     groups = _group_by_head(query, block_vars, rowid_columns, atom_rows,
                             length)
     stats.blocks_produced += len(groups)

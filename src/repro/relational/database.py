@@ -96,9 +96,12 @@ class Database:
         """Insert a :class:`Tuple`; returns the tuple for chaining.
 
         Raises :class:`SchemaError` for a value outside the value domain
-        (:func:`~repro.relational.tuples.check_values`) or a schema mismatch.
+        (:func:`~repro.relational.tuples.check_values`), a schema mismatch,
+        or an arity that differs from the relation's existing tuples (one
+        arity per relation, as on the SQLite backend).
         """
         check_values(tup)
+        self.check_arity(tup)
         if self.schema is not None:
             if tup.relation not in self.schema:
                 raise SchemaError(f"unknown relation {tup.relation!r}")
@@ -116,6 +119,21 @@ class Database:
         else:
             self._endo_discard(tup)
         return tup
+
+    def arity_of(self, relation: str) -> Optional[int]:
+        """The arity of ``relation``'s tuples, ``None`` while it is empty."""
+        for tup in self._relations.get(relation, ()):
+            return tup.arity
+        return None
+
+    def check_arity(self, tup: Tuple) -> None:
+        """Raise :class:`SchemaError` unless ``tup`` has its relation's arity."""
+        arity = self.arity_of(tup.relation)
+        if arity is not None and arity != tup.arity:
+            raise SchemaError(
+                f"relation {tup.relation!r} holds tuples of arity {arity}, "
+                f"got {tup.arity}"
+            )
 
     def add_fact(self, relation: str, *values: Any, endogenous: Optional[bool] = None) -> Tuple:
         """Insert ``relation(values...)`` and return the created tuple."""

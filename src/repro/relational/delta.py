@@ -155,14 +155,24 @@ class DatabaseDelta:
 
     def validate_against(self, database: Database) -> None:
         """Raise :class:`SchemaError` if an insert violates the value domain
-        (:func:`~repro.relational.tuples.check_values`) or the schema.
+        (:func:`~repro.relational.tuples.check_values`), the schema, or its
+        relation's one arity — that of the relation's existing tuples, else
+        of the delta's first insert into it.
 
         Run by :meth:`apply_to` (and by the backend sessions *before* any
         backend mutation), so a rejected delta never leaves either side
         half-applied.
         """
+        first: Dict[str, Tuple] = {}
         for tup, _ in self.insert_items():
             check_values(tup)
+            database.check_arity(tup)
+            earlier = first.setdefault(tup.relation, tup)
+            if earlier.arity != tup.arity:
+                raise SchemaError(
+                    f"relation {tup.relation!r} gets inserts of arity "
+                    f"{earlier.arity} and {tup.arity}"
+                )
             if database.schema is None:
                 continue
             if tup.relation not in database.schema:

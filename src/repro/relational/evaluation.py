@@ -8,14 +8,18 @@ checks simply ask whether any valuation survives in a modified instance.
 
 :class:`QueryEvaluator` plans each query and runs it on the one columnar
 kernel of :mod:`repro.relational.columnar` — the full pass, bound queries,
-delta residuals, ``holds`` and ``answers`` alike.  Planning is
+delta residuals, ``holds`` and ``answers`` alike.  Its one stored form of
+each ``(relation, status)`` tuple set is a dictionary-encoded
+:class:`~repro.relational.columnar.ColumnStore`, and planning works on row
+ids into it and on value *codes*, never on tuples.  Planning is
 statistics-free and never changes the valuation set:
 
-* **semi-join pruning** — per-atom candidate sets (constants and repeated
-  variables applied through per-position hash indexes) are reduced to a
-  fixpoint: a tuple survives only if, for every variable it shares with
-  another atom, some candidate of that atom agrees on the value; an empty
-  candidate set ends evaluation early;
+* **semi-join pruning** — per-atom candidate row ids (constants resolved
+  through the store's per-position postings, repeated variables compared
+  on code columns; an atom whose arity differs from its relation's has
+  none) are reduced to a fixpoint: a row survives only if, for every
+  variable it shares with another atom, some candidate of that atom has the
+  same code there; an empty candidate set ends evaluation early;
 * **greedy join ordering** — seed with the fewest surviving candidates, then
   add the connected atom binding the most variables, tie-broken by
   candidate count.
@@ -24,7 +28,6 @@ statistics-free and never changes the valuation set:
 from __future__ import annotations
 
 from typing import (
-    AbstractSet,
     Any,
     Dict,
     FrozenSet,
@@ -40,6 +43,7 @@ from typing import (
 
 from .columnar import (
     Answer,
+    CodeColumn,
     ColumnStore,
     PassStats,
     ValuationBlock,
@@ -82,93 +86,17 @@ class Valuation:
         return f"Valuation({binding})"
 
 
-class _RelationIndex:
-    """Hash indexes on every position of a relation, built lazily.
+class _AtomPlan:
+    """Per-atom join state: surviving row ids of the atom's column store.
 
-    The tuple set (and any position index already built) is mutable so a
-    :class:`QueryEvaluator` kept alive across recorded deltas can patch
-    membership per changed tuple (:meth:`update_membership`) instead of
-    rebuilding — the residual queries of an incremental refresh then cost
-    O(matching tuples), not O(relation).
+    ``rowids`` of ``None`` means every row of the store (shared, never
+    copied); pruning replaces it with a fresh ascending list.
     """
 
-    __slots__ = ("tuples", "by_position", "_snapshot")
+    __slots__ = ("store", "const_positions", "var_positions", "rowids")
 
-    def __init__(self, tuples: Iterable[Tuple]) -> None:
-        self.tuples: Set[Tuple] = set(tuples)
-        self.by_position: Dict[int, Dict[Any, Set[Tuple]]] = {}
-        self._snapshot: Optional[FrozenSet[Tuple]] = None
-
-    def snapshot(self) -> FrozenSet[Tuple]:
-        """The full tuple set, frozen and shared until the next change.
-
-        Plans never mutate their base set in place
-        (:meth:`_AtomPlan.restrict` builds a fresh one on actual pruning).
-        """
-        if self._snapshot is None:
-            self._snapshot = frozenset(self.tuples)
-        return self._snapshot
-
-    def update_membership(self, tup: Tuple, present: bool) -> None:
-        """Add or remove one tuple, patching the built position indexes."""
-        self._snapshot = None
-        if present:
-            if tup in self.tuples:
-                return
-            self.tuples.add(tup)
-            for position, index in self.by_position.items():
-                if position < len(tup.values):
-                    index.setdefault(tup[position], set()).add(tup)
-        else:
-            if tup not in self.tuples:
-                return
-            self.tuples.discard(tup)
-            for position, index in self.by_position.items():
-                if position < len(tup.values):
-                    bucket = index.get(tup[position])
-                    if bucket is not None:
-                        bucket.discard(tup)
-                        if not bucket:
-                            del index[tup[position]]
-
-    def candidates(
-            self, constraints: Sequence[TypingTuple[int, Any]],
-    ) -> AbstractSet[Tuple]:
-        """Tuples matching every ``(position, value)`` constraint.
-
-        The result is read-only: unconstrained calls share the cached
-        snapshot instead of copying the full tuple set.
-        """
-        if not constraints:
-            return self.snapshot()
-        best: Optional[Set[Tuple]] = None
-        for position, value in constraints:
-            index = self.by_position.get(position)
-            if index is None:
-                index = {}
-                for tup in self.tuples:
-                    index.setdefault(tup[position], set()).add(tup)
-                self.by_position[position] = index
-            matching = index.get(value, set())
-            if best is None or len(matching) < len(best):
-                best = matching
-            if not best:
-                return set()
-        assert best is not None
-        # Verify the remaining constraints tuple by tuple.
-        return {
-            tup for tup in best
-            if all(tup[pos] == val for pos, val in constraints)
-        }
-
-
-class _AtomPlan:
-    """Per-atom join state: candidate tuples plus term structure."""
-
-    __slots__ = ("atom", "const_positions", "var_positions", "candidates")
-
-    def __init__(self, atom: Atom, relation_index: _RelationIndex) -> None:
-        self.atom = atom
+    def __init__(self, atom: Atom, store: ColumnStore) -> None:
+        self.store = store
         self.const_positions: List[TypingTuple[int, Any]] = []
         # variable -> first position it occupies (repeats checked at build time)
         self.var_positions: Dict[Variable, int] = {}
@@ -182,39 +110,72 @@ class _AtomPlan:
                     repeats.append((self.var_positions[term], pos))
                 else:
                     self.var_positions[term] = pos
-        # Constants are resolved through the relation's position indexes, so
-        # a heavily-bound atom (a bound query, a delta residual) costs
-        # O(matching tuples); an unbound one shares the cached snapshot.
-        base = relation_index.candidates(self.const_positions)
-        if repeats:
-            base = {tup for tup in base
-                    if all(tup[a] == tup[b] for a, b in repeats)}
-        self.candidates: AbstractSet[Tuple] = base
+        self.rowids: Optional[List[int]] = None
+        if store.arity != atom.arity:
+            self.rowids = []
+        elif self.const_positions:
+            # Constants resolve through the store's postings, so a heavily
+            # bound atom (a bound query, a delta residual) costs
+            # O(matching rows), not O(relation).
+            self.rowids = self._constant_rows()
+        if repeats and self.count:
+            pairs = [(store.column(a), store.column(b)) for a, b in repeats]
+            self.rowids = [index for index in self._selected()
+                           if all(left[index] == right[index]
+                                  for left, right in pairs)]
 
-    def values_of(self, variable: Variable) -> Set[Any]:
-        position = self.var_positions[variable]
-        return {tup[position] for tup in self.candidates}
+    def _constant_rows(self) -> List[int]:
+        """Row ids matching every constant, through the smallest posting."""
+        store = self.store
+        checks: List[TypingTuple[CodeColumn, int]] = []
+        matching: List[List[int]] = []
+        for position, value in self.const_positions:
+            # Postings first: they encode the position's column, so a value
+            # without a code afterwards occurs in no row there.
+            postings = store.postings(position)
+            code = store.dictionary.lookup(value)
+            if code is None:
+                return []
+            checks.append((store.column(position), code))
+            matching.append(postings.get(code, []))
+        return [index for index in min(matching, key=len)
+                if all(column[index] == code for column, code in checks)]
 
-    def restrict(self, variable: Variable, allowed: Set[Any]) -> int:
-        """Drop candidates whose value for ``variable`` is not allowed.
+    def _selected(self) -> Sequence[int]:
+        return range(len(self.store)) if self.rowids is None else self.rowids
 
-        Returns the number of candidates removed (0 when nothing changed —
-        in that case the candidate set object is kept as-is, so a shared
-        snapshot is never copied needlessly).
+    @property
+    def count(self) -> int:
+        """The number of surviving candidate rows."""
+        return len(self.store) if self.rowids is None else len(self.rowids)
+
+    def codes_of(self, variable: Variable) -> Set[int]:
+        """The codes ``variable`` takes over the surviving rows."""
+        column = self.store.column(self.var_positions[variable])
+        if self.rowids is None:
+            return set(column)
+        return {column[index] for index in self.rowids}
+
+    def restrict(self, variable: Variable, allowed: Set[int]) -> int:
+        """Drop rows whose code for ``variable`` is not allowed.
+
+        Returns the number of rows removed (0 when nothing changed — the
+        selection is then kept as-is, so an unpruned atom stays ``None``).
         """
-        position = self.var_positions[variable]
-        restricted = {t for t in self.candidates if t[position] in allowed}
-        removed = len(self.candidates) - len(restricted)
+        column = self.store.column(self.var_positions[variable])
+        kept = [index for index in self._selected()
+                if column[index] in allowed]
+        removed = self.count - len(kept)
         if removed:
-            self.candidates = restricted
+            self.rowids = kept
         return removed
 
 
 class QueryEvaluator:
     """Evaluates conjunctive queries over a fixed database instance.
 
-    The evaluator caches per-relation indexes, so reuse one instance when
-    issuing many queries against the same database.
+    The evaluator caches one column store per ``(relation, status)``, so
+    reuse one instance when issuing many queries against the same database.
 
     Parameters
     ----------
@@ -228,7 +189,6 @@ class QueryEvaluator:
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self._indexes: Dict[TypingTuple[str, Optional[bool]], _RelationIndex] = {}
         #: Per-phase counters of the valuation pass (cumulative, cheap).
         self.stats = PassStats()
         # Columnar state: one value dictionary per evaluator, one column
@@ -237,60 +197,41 @@ class QueryEvaluator:
         self._stores: Dict[TypingTuple[str, Optional[bool]], ColumnStore] = {}
 
     # ------------------------------------------------------------------ #
-    def _index_for(self, atom: Atom) -> _RelationIndex:
+    def _store_for(self, atom: Atom) -> ColumnStore:
+        """The column store of ``atom``'s ``(relation, status)`` tuple set.
+
+        Built lazily from the database and patched per tuple by
+        :meth:`apply_changes`, so the encodings survive recorded deltas.
+        """
         status = atom.endogenous
         key = (atom.relation, status)
-        index = self._indexes.get(key)
-        if index is None:
+        store = self._stores.get(key)
+        if store is None:
             if status is True:
                 tuples = self.database.endogenous_tuples(atom.relation)
             elif status is False:
                 tuples = self.database.exogenous_tuples(atom.relation)
             else:
                 tuples = self.database.tuples_of(atom.relation)
-            index = _RelationIndex(tuples)
-            self._indexes[key] = index
-        return index
-
-    def _store_for(self, atom: Atom) -> ColumnStore:
-        """The dictionary-encoded column store backing ``atom``'s tuple set.
-
-        Built lazily from the matching relation index (so both views share
-        one membership source) and patched per tuple by
-        :meth:`apply_changes` — the encodings survive recorded deltas.
-        """
-        key = (atom.relation, atom.endogenous)
-        store = self._stores.get(key)
-        if store is None:
-            store = ColumnStore(self._dictionary, self._index_for(atom).tuples)
-            self._stores[key] = store
+            store = self._stores[key] = ColumnStore(self._dictionary, tuples)
         return store
 
     def apply_changes(self, changed: Iterable[Tuple]) -> None:
-        """Patch the cached relation indexes after an in-place database change.
+        """Patch the cached column stores after an in-place database change.
 
         ``changed`` is the invalidation set of a recorded delta (tuples whose
         presence or partition changed); membership in every already-built
-        ``(relation, status)`` index is recomputed from the mutated database,
-        per tuple.  Keeping the evaluator (and its lazily built position
-        indexes) alive across deltas is what makes incremental refresh cost
+        ``(relation, status)`` store is recomputed from the mutated database,
+        per tuple.  Keeping the evaluator (and its lazily built columns and
+        postings) alive across deltas is what makes incremental refresh cost
         proportional to the delta, not to the instance.
         """
         for tup in changed:
             present = self.database.contains(tup)
             endogenous = present and self.database.is_endogenous(tup)
-            for status in (None, True, False):
-                if status is None:
-                    belongs = present
-                elif status:
-                    belongs = endogenous
-                else:
-                    belongs = present and not endogenous
-                key = (tup.relation, status)
-                index = self._indexes.get(key)
-                if index is not None:
-                    index.update_membership(tup, belongs)
-                store = self._stores.get(key)
+            for status, belongs in ((None, present), (True, endogenous),
+                                    (False, present and not endogenous)):
+                store = self._stores.get((tup.relation, status))
                 if store is not None:
                     store.update_membership(tup, belongs)
 
@@ -301,10 +242,10 @@ class QueryEvaluator:
         Returns ``None`` as soon as some atom has no candidates — the query
         then has no valuations (early termination).
         """
-        plans = [_AtomPlan(atom, self._index_for(atom))
+        plans = [_AtomPlan(atom, self._store_for(atom))
                  for atom in query.atoms]
         self.stats.plans_built += len(plans)
-        if any(not plan.candidates for plan in plans):
+        if any(not plan.count for plan in plans):
             return None
         # variable -> the plans whose atom mentions it
         occurrences: Dict[Variable, List[_AtomPlan]] = {}
@@ -317,13 +258,14 @@ class QueryEvaluator:
             changed = False
             self.stats.semijoin_rounds += 1
             for variable, sharing in shared:
-                allowed = set.intersection(*(p.values_of(variable) for p in sharing))
+                allowed = set.intersection(
+                    *(p.codes_of(variable) for p in sharing))
                 for plan in sharing:
                     removed = plan.restrict(variable, allowed)
                     if removed:
                         self.stats.rows_pruned += removed
                         changed = True
-                    if not plan.candidates:
+                    if not plan.count:
                         return None
         return plans
 
@@ -341,14 +283,14 @@ class QueryEvaluator:
         while remaining:
             if not order:
                 best = min(remaining, key=lambda i: (
-                    len(plans[i].candidates),
+                    plans[i].count,
                     -len(plans[i].const_positions),
                     i,
                 ))
             else:
                 best = min(remaining, key=lambda i: (
                     -len(plans[i].var_positions.keys() & placed_vars),
-                    len(plans[i].candidates),
+                    plans[i].count,
                     i,
                 ))
             order.append(best)
@@ -366,9 +308,9 @@ class QueryEvaluator:
         plans = self._build_plans(query)
         if plans is None:
             return {}
-        order = self._atom_order(plans)
-        stores = [self._store_for(plan.atom) for plan in plans]
-        return run_pass(query, plans, order, stores, self.stats)
+        atoms = [plan.store.gather(plan.rowids, plan.var_positions)
+                 for plan in plans]
+        return run_pass(query, atoms, self._atom_order(plans), self.stats)
 
     def _materialise(self, query: ConjunctiveQuery,
                      block: ValuationBlock) -> List[Valuation]:

@@ -112,7 +112,7 @@ class BackendSession:
         """Hook run after the Python-side database has been mutated.
 
         ``changed`` is the delta's invalidation set, so a subclass can patch
-        derived state (e.g. evaluator indexes) per tuple instead of
+        derived state (e.g. evaluator column stores) per tuple instead of
         rebuilding it.
         """
 
@@ -176,7 +176,7 @@ class MemorySession(BackendSession):
     """The in-memory backend: the instance *is* the snapshot.
 
     ``apply_delta`` mutates the :class:`Database` and patches the live
-    evaluator's per-relation hash indexes tuple by tuple
+    evaluator's per-``(relation, status)`` column stores tuple by tuple
     (:meth:`~repro.relational.evaluation.QueryEvaluator.apply_changes`),
     so the cost of keeping the evaluator current is proportional to the
     delta, never to the instance.
@@ -213,9 +213,8 @@ class MemorySession(BackendSession):
         """Nothing to pre-apply: the instance *is* the backend state."""
 
     def _after_apply(self, changed: FrozenSet[Tuple]) -> None:
-        # The indexes cache tuple sets per (relation, status); membership is
-        # recomputed only for the changed tuples, keeping both the evaluator
-        # object and its lazily built position indexes alive.
+        # Membership is recomputed only for the changed tuples, keeping the
+        # evaluator and its lazily built columns and postings alive.
         self._evaluator.apply_changes(changed)
 
 

@@ -339,13 +339,9 @@ class SQLiteDatabase:
     def _load(self, database: Database) -> None:
         for relation in database.relations():
             tuples = database.tuples_of(relation)
-            arities = {t.arity for t in tuples}
-            if len(arities) != 1:
-                raise BackendError(
-                    f"relation {relation!r} holds tuples of mixed arity "
-                    f"{sorted(arities)}; the SQLite layout needs one arity"
-                )
-            arity = arities.pop()
+            # ``Database.add`` keeps one arity per relation.
+            arity = database.arity_of(relation)
+            assert arity is not None
             self._create_relation(relation, arity)
             # ``Database.add`` already checked every value against the
             # value domain, which SQLite stores exactly.
@@ -415,8 +411,7 @@ class SQLiteDatabase:
         for tup, _ in delta.insert_items():
             self.ensure_relation(tup.relation, tup.arity)
         for tup in sorted(delta.delete_tuples()):
-            arity = self._arities.get(tup.relation)
-            if arity is None or arity != tup.arity:
+            if self.arity_of(tup.relation) != tup.arity:
                 continue  # nothing to delete in this layout
             where, params = self._match_clause(tup)
             self._connection.execute(
@@ -457,8 +452,9 @@ class SQLiteDatabase:
     def relations(self) -> FrozenSet[str]:
         return frozenset(self._arities)
 
-    def arity_of(self, relation: str) -> int:
-        return self._arities[relation]
+    def arity_of(self, relation: str) -> Optional[int]:
+        """The loaded arity of ``relation``, ``None`` if it is not loaded."""
+        return self._arities.get(relation)
 
     def execute_program(self, program, target: Optional[str] = None
                         ) -> FrozenSet[TypingTuple[Any, ...]]:
@@ -574,9 +570,10 @@ class SQLiteEvaluator:
         return rendered
 
     def _executable(self, query: ConjunctiveQuery) -> bool:
-        """A query touching an unloaded relation has no valuations at all."""
-        loaded = self.backend.relations()
-        return all(atom.relation in loaded for atom in query.atoms)
+        """A query touching an unloaded relation, or an atom whose arity is
+        not its relation's, has no valuations at all."""
+        return all(self.backend.arity_of(atom.relation) == atom.arity
+                   for atom in query.atoms)
 
     # ------------------------------------------------------------------ #
     def valuations(self, query: ConjunctiveQuery) -> Iterator[Valuation]:

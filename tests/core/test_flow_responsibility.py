@@ -20,7 +20,13 @@ from repro.core import (
 from repro.engine import BatchExplainer
 from repro.exceptions import CausalityError, NotLinearError
 from repro.flow import max_flow
-from repro.relational import Database, Tuple, database_from_dict, parse_query
+from repro.relational import (
+    Database,
+    QueryEvaluator,
+    Tuple,
+    database_from_dict,
+    parse_query,
+)
 from repro.workloads import random_two_table_instance, sharded_fanout_instance
 
 # ``repro.core.flow_responsibility`` the attribute is the function; the
@@ -202,7 +208,7 @@ class TestLineageLocality:
             "T": [(5, 1), (6, 1), (6, 2), (7, 7)],
             "V": [(1,), (2,), (8,)],
         })
-        engine = FlowEngine(query, db)
+        engine = FlowEngine(query, QueryEvaluator(db))
         # V is the only dominator on 4.12-b: it dominates R and T, and the
         # dominated R is dissociated by z.
         result = engine.responsibility(Tuple("V", (1,)))
@@ -296,7 +302,7 @@ class TestSoundDomination:
                                    {Tuple("S", (1, 1)): Fraction(1, 3)})
         # Only V dominates here, so the other relations go to the exact
         # engine.
-        engine = FlowEngine(query, db)
+        engine = FlowEngine(query, QueryEvaluator(db))
         assert engine.responsibility(Tuple("V", (2,))).weakening \
             .dominated_labels() == frozenset({"R", "T"})
         with pytest.raises(NotLinearError):
@@ -320,7 +326,7 @@ class TestSoundDomination:
         # R dominates S, but S(1,0) cannot be traded for the exogenous R(1):
         # flow falls back to the (already linear) weakening without
         # domination, which keeps S(1,0) cuttable.
-        result = FlowEngine(query, db).responsibility(Tuple("R", (0,)))
+        result = FlowEngine(query, QueryEvaluator(db)).responsibility(Tuple("R", (0,)))
         assert result.responsibility == Fraction(1, 2)
         assert result.weakening.dominated_labels() == frozenset()
         assert result.min_contingency == frozenset({Tuple("S", (1, 0))})

@@ -23,7 +23,8 @@ def test_strict_tier_is_mypy_clean():
          "--config-file", str(REPO_ROOT / "mypy.ini"),
          "-p", "repro.engine", "-m", "repro.relational.session",
          "-m", "repro.relational.evaluation",
-         "-m", "repro.relational.columnar"],
+         "-m", "repro.relational.columnar",
+         "-m", "repro.core.flow_responsibility"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

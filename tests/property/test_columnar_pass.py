@@ -193,8 +193,8 @@ class TestRefreshKeepsEncodingsExact:
             live.apply_changes(changed)
             assert grouped_blocks(live, query) \
                 == grouped_blocks(QueryEvaluator(db), query)
-            # Residual queries on the patched evaluator (plans read the
-            # relation indexes, the kernel reads the stores) agree with
+            # Residual queries on the patched evaluator (plans and kernel
+            # both read the column stores) agree with
             # SQLite on the mutated instance — the two stay in sync.
             assert grouped_valuations(live, query) \
                 == grouped_valuations(SQLiteEvaluator(db), query)

@@ -8,6 +8,7 @@ from repro.relational import (
     Constant,
     Database,
     QueryEvaluator,
+    Tuple,
     database_from_dict,
     evaluate,
     evaluate_boolean,
@@ -135,7 +136,10 @@ class TestGreedyOrderAndSemijoin:
         evaluator = QueryEvaluator(db)
         plans = evaluator._build_plans(q)
         # Only R(4, 5) joins with S(5, 99); everything else is pruned away.
-        assert [len(p.candidates) for p in plans] == [1, 1]
+        assert [p.count for p in plans] == [1, 1]
+        assert [row for p in plans
+                for row in p.store.gather(p.rowids, {})[0]] == [
+            Tuple("R", (4, 5)), Tuple("S", (5, 99))]
 
 
 class TestEvaluatorReuse:

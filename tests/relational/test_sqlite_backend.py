@@ -79,11 +79,13 @@ class TestLoading:
             backend.ensure_relation("T", 2)
 
     def test_mixed_arity_rejected(self):
+        # Rejected when added, on either backend (one arity per relation),
+        # so every loaded relation has one column layout.
         db = Database()
         db.add_fact("R", 1)
-        db.add_fact("R", 1, 2)
-        with pytest.raises(BackendError):
-            SQLiteDatabase(db)
+        with pytest.raises(SchemaError):
+            db.add_fact("R", 1, 2)
+        assert SQLiteDatabase(db).arity_of("R") == 1
 
     def test_bool_values_rejected(self):
         # Rejected when added, on either backend (the one value domain).
