@@ -22,12 +22,19 @@ conjunct not containing ``t`` has a minimal sub-conjunct that also avoids
 the witness conjunct ``C ∋ t`` of condition (a) and forbidding its elements
 from ``Γ`` yields one hitting-set instance per witness; the minimum over all
 witnesses is ``min |Γ|``.
+
+**Coding.**  The engine ranks the simplified lineage's variables by ``repr``
+once (:class:`CodedLineage`) and hands the solver rank sets.  Witnesses are
+tried by (size, sorted ranks) and the solver ties to the smallest rank, so
+``Γ`` is the one the ``repr`` tiebreak picks, decoded back to tuples at the
+end; the batch engine codes each answer's lineage once for all of its
+inspected tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Tuple as TypingTuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
 from ..exceptions import CausalityError, NotLinearError
 from ..lineage.boolean_expr import PositiveDNF
@@ -47,7 +54,8 @@ class ResponsibilityResult:
     __slots__ = ("tuple", "responsibility", "min_contingency", "method")
 
     def __init__(self, tuple_: Tuple, responsibility: Fraction,
-                 min_contingency: Optional[FrozenSet[Tuple]], method: str):
+                 min_contingency: Optional[FrozenSet[Tuple]], method: str
+                 ) -> None:
         self.tuple = tuple_
         self.responsibility = responsibility
         self.min_contingency = min_contingency
@@ -61,34 +69,72 @@ class ResponsibilityResult:
 # --------------------------------------------------------------------------- #
 # exact engine (any conjunctive query)
 # --------------------------------------------------------------------------- #
-def minimum_contingency_from_lineage(phi_n: PositiveDNF, tuple_: Tuple,
-                                     assume_minimal: bool = False
-                                     ) -> Optional[FrozenSet[Tuple]]:
+class CodedLineage:
+    """A simplified n-lineage coded once for the exact engine.
+
+    The lineage's variables are ranked by ``repr`` and every conjunct
+    becomes the frozenset of its variables' ranks, kept in witness order:
+    by size, then by sorted ranks.  The hitting-set solver breaks ties to
+    the smallest element, so ranks keep the ``repr`` tiebreak while it runs
+    on ints; the ``repr`` sort is paid once per lineage, not once per
+    greedy round or search node.  ``formula`` must be redundancy-free
+    (:meth:`~repro.lineage.boolean_expr.PositiveDNF.remove_redundant`).
+
+    Examples
+    --------
+    >>> lineage = CodedLineage(PositiveDNF([{"t"}, {"u", "v"}]))
+    >>> sorted(lineage.minimum_contingency("t"))
+    ['u']
+    >>> lineage.minimum_contingency("w") is None
+    True
+    """
+
+    __slots__ = ("formula", "_variables", "_rank", "_conjuncts")
+
+    def __init__(self, formula: PositiveDNF) -> None:
+        self.formula = formula
+        self._variables: List[Any] = sorted(formula.variables(), key=repr)
+        self._rank: Dict[Any, int] = {
+            variable: i for i, variable in enumerate(self._variables)}
+        coded = [sorted(self._rank[v] for v in c) for c in formula.conjuncts]
+        coded.sort(key=lambda ranks: (len(ranks), ranks))
+        self._conjuncts = [frozenset(ranks) for ranks in coded]
+
+    def minimum_contingency(self, tuple_: Any) -> Optional[FrozenSet[Any]]:
+        """Minimum Why-So contingency of ``tuple_``; ``None`` if no cause."""
+        rank = self._rank.get(tuple_)
+        if rank is None:
+            return None
+        witnesses: List[FrozenSet[int]] = []
+        to_hit: List[FrozenSet[int]] = []
+        for conjunct in self._conjuncts:
+            (witnesses if rank in conjunct else to_hit).append(conjunct)
+        best: Optional[FrozenSet[int]] = None
+        for witness in witnesses:
+            # Only a strictly smaller contingency replaces the best one.
+            upper = None if best is None else len(best) - 1
+            hitting = minimum_hitting_set(to_hit, forbidden=witness,
+                                          upper_bound=upper)
+            if hitting is not None:
+                best = hitting
+                if not best:
+                    break
+        if best is None:
+            return None
+        # Through a set: a frozenset copied from a set is sized to fit, one
+        # grown from a generator keeps its slack, and every cause keeps its Γ.
+        return frozenset({self._variables[i] for i in best})
+
+
+def minimum_contingency_from_lineage(phi_n: PositiveDNF, tuple_: Any
+                                     ) -> Optional[FrozenSet[Any]]:
     """Minimum Why-So contingency of ``t`` given the n-lineage.
 
-    Returns ``None`` when ``t`` is not an actual cause.  Pass
-    ``assume_minimal=True`` when ``phi_n`` is already redundancy-free to skip
-    the quadratic re-simplification (the batch engine calls this once per
-    candidate tuple on the same simplified formula).
+    Returns ``None`` when ``t`` is not an actual cause.  Simplifies and codes
+    ``phi_n`` on every call; the batch engine codes each answer's lineage
+    once (:class:`CodedLineage`) and asks it per inspected tuple.
     """
-    minimal = phi_n if assume_minimal else phi_n.remove_redundant()
-    if minimal.is_trivially_true():
-        return None
-    witnesses = [c for c in minimal.conjuncts if tuple_ in c]
-    if not witnesses:
-        return None
-    to_hit = [c for c in minimal.conjuncts if tuple_ not in c]
-    best: Optional[FrozenSet[Tuple]] = None
-    for witness in sorted(witnesses, key=lambda c: (len(c), sorted(map(repr, c)))):
-        upper = None if best is None else len(best)
-        hitting = minimum_hitting_set(to_hit, forbidden=witness, upper_bound=upper)
-        if hitting is None:
-            continue
-        if best is None or len(hitting) < len(best):
-            best = frozenset(hitting)
-            if not best:
-                break
-    return best
+    return CodedLineage(phi_n.remove_redundant()).minimum_contingency(tuple_)
 
 
 def exact_responsibility(query: ConjunctiveQuery, database: Database,

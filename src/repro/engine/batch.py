@@ -62,7 +62,8 @@ from typing import (
 
 from ..core.api import Explanation
 from ..core.definitions import CausalityMode, Cause, responsibility_value
-from ..core.flow_responsibility import FlowEngine
+from ..core.flow_responsibility import FlowEngine, FlowResponsibilityResult
+from ..core.responsibility import CodedLineage
 from ..exceptions import CausalityError, FanOutWorkerError, NotLinearError
 from ..lineage.boolean_expr import PositiveDNF
 from ..relational.columnar import ConjunctGroup, ValuationBlock, \
@@ -192,9 +193,11 @@ class BatchExplainer:
         # and kept in lockstep with ``_conjuncts`` by the delta path.
         self._index: Optional[LineageIndex] = None
         self._full_pass_done = False
-        # bound query -> FlowEngine (or NotLinearError for self-joins),
-        # sharing valuations and layers across that answer's tuples.
-        self._flow_engines: Dict[ConjunctiveQuery, Any] = {}
+        # bound query -> (FlowEngine, or the NotLinearError for self-joins;
+        # relation -> the NotLinearError the engine raised for it), sharing
+        # valuations, layers and refusals across that answer's tuples.
+        self._flow_engines: Dict[ConjunctiveQuery, TypingTuple[
+            Any, Dict[str, NotLinearError]]] = {}
         # answer -> Explanation, so a refresh() can keep the untouched ones.
         self._explanations: Dict[Answer, Explanation] = {}
         # Served-from-memo vs computed counts (the serving layer's cache
@@ -258,31 +261,49 @@ class BatchExplainer:
     # ------------------------------------------------------------------ #
     # per-answer explanation over the shared state
     # ------------------------------------------------------------------ #
-    def _flow_engine(self, bound: ConjunctiveQuery) -> FlowEngine:
-        engine = self._flow_engines.get(bound)
-        if engine is None:
+    def _flow_responsibility(self, bound: ConjunctiveQuery, tuple_: Tuple
+                             ) -> FlowResponsibilityResult:
+        """Algorithm 1 through the bound query's shared :class:`FlowEngine`.
+
+        A refusal (:class:`NotLinearError`) depends only on the inspected
+        tuple's relation and the database state, so it is remembered per
+        relation for as long as the engine lives; a refresh that drops the
+        engine drops its refusals with it.
+        """
+        # Refusals are kept as bare copies and raised as fresh ones: a raised
+        # error's traceback holds the call stack's frames, and with them the
+        # answer's lineage, for as long as the error lives.
+        entry = self._flow_engines.get(bound)
+        if entry is None:
             try:
-                engine = FlowEngine(bound, self._evaluator)
+                engine: Any = FlowEngine(bound, self._evaluator)
             except NotLinearError as error:
-                engine = error
-            self._flow_engines[bound] = engine
-        if isinstance(engine, NotLinearError):
-            raise engine
-        return engine
+                engine = NotLinearError(*error.args)
+            entry = self._flow_engines[bound] = (engine, {})
+        engine, refusals = entry
+        refusal = engine if isinstance(engine, NotLinearError) \
+            else refusals.get(tuple_.relation)
+        if refusal is not None:
+            raise NotLinearError(*refusal.args)
+        try:
+            return engine.responsibility(tuple_)
+        except NotLinearError as error:
+            refusals[tuple_.relation] = NotLinearError(*error.args)
+            raise
 
     def _responsibility(
             self, bound: ConjunctiveQuery,
-            get_phi_n: Callable[[], PositiveDNF], tuple_: Tuple,
+            get_lineage: Callable[[], CodedLineage], tuple_: Tuple,
     ) -> TypingTuple[Any, Optional[FrozenSet[Tuple]]]:
         if self.method in ("auto", "flow"):
             try:
-                result = self._flow_engine(bound).responsibility(tuple_)
+                result = self._flow_responsibility(bound, tuple_)
                 return result.responsibility, result.min_contingency
             except NotLinearError:
                 if self.method == "flow":
                     raise
                 # auto: fall back to the exact engine, like the dispatcher.
-        gamma = self.cache.minimum_contingency(get_phi_n(), tuple_)
+        gamma = self.cache.minimum_contingency(get_lineage(), tuple_)
         rho = responsibility_value(None if gamma is None else len(gamma))
         return rho, gamma
 
@@ -343,19 +364,20 @@ class BatchExplainer:
             t for t in phi_n_raw.variables() if self.database.is_endogenous(t)
         )
 
-        # The simplified lineage is only needed by the exact engine; when the
-        # flow engine serves every tuple, skip the quadratic simplification.
-        simplified: List[PositiveDNF] = []
+        # The simplified, coded lineage is only needed by the exact engine;
+        # when the flow engine serves every tuple, skip the quadratic
+        # simplification.  Otherwise it is built once for all the tuples.
+        coded: List[CodedLineage] = []
 
-        def get_phi_n() -> PositiveDNF:
-            if not simplified:
-                simplified.append(phi_n_raw.remove_redundant())
-            return simplified[0]
+        def get_lineage() -> CodedLineage:
+            if not coded:
+                coded.append(CodedLineage(phi_n_raw.remove_redundant()))
+            return coded[0]
 
         bound = self.query if self.query.is_boolean else self.query.bind(key)
         scored = []
         for tuple_ in candidates:
-            rho, gamma = self._responsibility(bound, get_phi_n, tuple_)
+            rho, gamma = self._responsibility(bound, get_lineage, tuple_)
             if rho > 0:
                 scored.append((rho, tuple_, gamma))
         scored.sort(key=lambda item: (-item[0], item[1]))

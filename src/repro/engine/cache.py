@@ -4,7 +4,10 @@ The expensive step of Why-So responsibility is the constrained minimum
 hitting set over the simplified n-lineage (Sect. 4, exact engine).  The
 hitting-set instance is *fully determined* by the pair (n-lineage, inspected
 tuple), so :class:`LineageCache` memoizes results under that key, and a
-refresh drops exactly the entries whose key mentions a changed tuple.
+refresh drops exactly the entries whose key mentions a changed tuple.  The
+engine codes each answer's lineage once
+(:class:`~repro.core.responsibility.CodedLineage`); the cache keys by its
+formula and asks it per inspected tuple.
 
 The memo lives in one process: fan-out workers fill caches of their own and
 return explanations only.  Results that depend on the concrete instance
@@ -18,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Optional, Set
 from typing import Tuple as TypingTuple
 
-from ..core.responsibility import minimum_contingency_from_lineage
+from ..core.responsibility import CodedLineage
 from ..lineage.boolean_expr import PositiveDNF
 from ..relational.tuples import Tuple
 
@@ -32,12 +35,12 @@ class LineageCache:
     Examples
     --------
     >>> cache = LineageCache()
-    >>> phi = PositiveDNF([{Tuple("R", (1,))}])
-    >>> cache.minimum_contingency(phi, Tuple("R", (1,)))
+    >>> lineage = CodedLineage(PositiveDNF([{Tuple("R", (1,))}]))
+    >>> cache.minimum_contingency(lineage, Tuple("R", (1,)))
     frozenset()
     >>> cache.hits, cache.misses
     (0, 1)
-    >>> _ = cache.minimum_contingency(phi, Tuple("R", (1,)))
+    >>> _ = cache.minimum_contingency(lineage, Tuple("R", (1,)))
     >>> cache.hits
     1
     """
@@ -52,23 +55,22 @@ class LineageCache:
         # of the live entries.
         self._tuple_keys: Dict[Tuple, Set[Key]] = {}
 
-    def minimum_contingency(self, phi_n: PositiveDNF, tuple_: Tuple
+    def minimum_contingency(self, lineage: CodedLineage, tuple_: Tuple
                             ) -> Optional[FrozenSet[Tuple]]:
-        """Memoized minimum Why-So contingency of ``tuple_`` given ``phi_n``.
+        """Memoized minimum Why-So contingency of ``tuple_`` in ``lineage``.
 
-        ``phi_n`` must be the *simplified* (redundancy-free) n-lineage — that
-        is both the key and what lets the solver skip re-simplification.  The
-        result is ``None`` when the tuple is not an actual cause (matching
-        :func:`~repro.core.responsibility.minimum_contingency_from_lineage`).
+        The key is the coded lineage's (simplified) formula and the tuple.
+        The result is ``None`` when the tuple is not an actual cause
+        (:meth:`~repro.core.responsibility.CodedLineage.minimum_contingency`).
         A solver that raises stores nothing and counts neither as a hit nor
         as a miss, so :attr:`stats` only reflects completed computations.
         """
+        phi_n = lineage.formula
         key = (phi_n, tuple_)
         try:
             gamma = self._entries[key]
         except KeyError:
-            gamma = minimum_contingency_from_lineage(phi_n, tuple_,
-                                                     assume_minimal=True)
+            gamma = lineage.minimum_contingency(tuple_)
             self.misses += 1
             self._entries[key] = gamma
             for tup in phi_n.variables() | {tuple_}:
@@ -96,7 +98,7 @@ class LineageCache:
         --------
         >>> cache = LineageCache()
         >>> t = Tuple("R", (1,))
-        >>> _ = cache.minimum_contingency(PositiveDNF([{t}]), t)
+        >>> _ = cache.minimum_contingency(CodedLineage(PositiveDNF([{t}])), t)
         >>> cache.invalidate_tuples([t])
         1
         >>> len(cache)

@@ -2,8 +2,9 @@
 
 ``mypy --strict``-style checking (``disallow_untyped_defs``) for
 ``engine/``, ``relational/session.py``, ``relational/evaluation.py``,
-``relational/columnar.py`` and ``core/flow_responsibility.py`` runs in CI,
-but mypy is not part of the runtime
+``relational/columnar.py`` and the responsibility engines
+(``core/flow_responsibility.py``, ``core/responsibility.py``,
+``core/hitting_set.py``) runs in CI, but mypy is not part of the runtime
 container.  This rule enforces the *presence* half of that contract
 locally — every ``def`` in the strict tier annotates all of its parameters
 (``self``/``cls`` excepted) and its return type — so an unannotated
@@ -22,11 +23,13 @@ from ..framework import ModuleContext, Finding, Rule
 class TypedDefsRule(Rule):
     id = "typed-defs"
     summary = ("every def in engine/, the typed relational modules "
-               "(session, evaluation, columnar) and the flow engine "
-               "annotates all parameters and the return type")
+               "(session, evaluation, columnar) and the responsibility "
+               "engines (flow, exact, hitting set) annotates all "
+               "parameters and the return type")
     scope = ("engine/", "relational/session.py",
              "relational/evaluation.py", "relational/columnar.py",
-             "core/flow_responsibility.py")
+             "core/flow_responsibility.py", "core/responsibility.py",
+             "core/hitting_set.py")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -355,15 +355,30 @@ class SQLiteDatabase:
         self._connection.commit()
 
     def ensure_relation(self, relation: str, arity: int) -> None:
-        """Create an empty ``relation`` (plus views) unless already loaded."""
+        """Create an empty ``relation`` (plus views) unless already loaded.
+
+        A loaded relation that is empty is recreated at a new ``arity``, as
+        the memory backend's emptied column store takes one; a relation
+        that still holds rows keeps its arity.
+        """
         existing = self._arities.get(relation)
+        if existing == arity:
+            return
         if existing is not None:
-            if existing != arity:
+            if self._connection.execute(
+                    f"SELECT 1 FROM {quote_identifier(relation)} LIMIT 1"
+            ).fetchone() is not None:
                 raise BackendError(
                     f"relation {relation!r} already loaded with arity "
                     f"{existing}, cannot redeclare as arity {arity}"
                 )
-            return
+            for view in (f"{relation}__endo", f"{relation}__exo"):
+                self._connection.execute(
+                    f"DROP VIEW {quote_identifier(view)}")
+            # Dropping the table drops its column indexes too.
+            self._connection.execute(
+                f"DROP TABLE {quote_identifier(relation)}")
+            del self._arities[relation]
         self._create_relation(relation, arity)
         self._connection.commit()
 

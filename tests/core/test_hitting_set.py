@@ -54,15 +54,29 @@ class TestBasics:
         assert minimum_hitting_set_size([{1}, {1, 2}, {1, 2, 3}]) == 1
 
 
-class TestGreedy:
-    def test_greedy_is_feasible(self):
-        sets = [{1, 2}, {2, 3}, {4}]
-        greedy = greedy_hitting_set(sets)
-        assert greedy is not None
-        assert all(set(s) & greedy for s in sets)
+class TestTiebreak:
+    def test_ties_go_to_the_smallest_element_not_the_smallest_repr(self):
+        # repr order would pick 10 ('10' < '2').
+        assert minimum_hitting_set([{2, 10}]) == frozenset({2})
 
-    def test_greedy_detects_infeasibility(self):
-        assert greedy_hitting_set([{1}], forbidden={1}) is None
+    def test_equal_size_results_pick_the_smallest_elements(self):
+        # Any pair taking one element of each set is minimum.
+        assert minimum_hitting_set([{4, 1}, {3, 2}]) == frozenset({1, 2})
+
+
+class TestGreedy:
+    """The greedy seed runs on the solver's bitmasks, where the smallest
+    element is the highest bit."""
+
+    def test_greedy_is_feasible(self):
+        masks = [0b0011, 0b0110, 0b10000]
+        greedy = greedy_hitting_set(masks)
+        assert all(mask & greedy for mask in masks)
+
+    def test_greedy_ties_go_to_the_highest_bit(self):
+        # Bits 0-3 each hit two sets: the highest wins every tie, so bit 3
+        # and then bit 2 (the lowest would give bits 0 and 1).
+        assert greedy_hitting_set([0b0101, 0b0110, 0b1001, 0b1010]) == 0b1100
 
 
 class TestAgainstExhaustiveSearch:

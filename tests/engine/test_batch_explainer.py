@@ -2,8 +2,8 @@
 
 import pytest
 
-import repro.engine.cache as cache_module
 from repro.core import explain
+from repro.core.responsibility import CodedLineage
 from repro.engine import BatchExplainer, LineageCache, batch_explain
 from repro.exceptions import CausalityError
 from repro.lineage import PositiveDNF, n_lineage
@@ -125,6 +125,40 @@ class TestSharedState:
         for explanation in explanations.values():
             assert all(c.responsibility > 0 for c in explanation)
 
+    def test_flow_refusals_are_asked_once_per_relation(self, monkeypatch):
+        # The triangle is not weakly linear: auto asks Algorithm 1 once per
+        # (bound query, relation), not once per inspected tuple, and a
+        # refresh that drops the answer's engine asks again.
+        from repro.core.flow_responsibility import FlowEngine
+        from repro.relational import Database, DatabaseDelta
+
+        calls = []
+        responsibility = FlowEngine.responsibility
+
+        def counting(engine, tuple_):
+            calls.append(tuple_.relation)
+            return responsibility(engine, tuple_)
+
+        monkeypatch.setattr(FlowEngine, "responsibility", counting)
+        db = Database()
+        db.add_fact("A", "x", "u", endogenous=False)
+        for v in ("v1", "v2"):
+            db.add_fact("R", "u", v)
+            for w in ("w1", "w2"):
+                db.add_fact("S", v, w)
+        for w in ("w1", "w2"):
+            db.add_fact("T", w, "u")
+        query = parse_query("q(x) :- A(x, u), R(u, v), S(v, w), T(w, u)")
+        explainer = BatchExplainer(query, db)
+        explanation = explainer.explain(("x",))
+        assert len(explanation) == 8
+        assert sorted(calls) == ["R", "S", "T"]
+        explainer.refresh(DatabaseDelta(deletes=[Tuple("S", ("v1", "w1"))]))
+        refreshed = explainer.explain(("x",))
+        assert sorted(calls) == ["R", "R", "S", "S", "T", "T"]
+        assert ranking(refreshed) == ranking(
+            BatchExplainer(query, db, method="exact").explain(("x",)))
+
     def test_process_pool_matches_serial(self, example22_db, rs_query):
         db, _ = example22_db
         explainer = BatchExplainer(rs_query, db)
@@ -195,18 +229,20 @@ class TestSQLiteBackend:
 class TestLineageCache:
     def test_minimum_contingency_memoizes(self, monkeypatch):
         calls = []
-        solve = cache_module.minimum_contingency_from_lineage
+        solve = CodedLineage.minimum_contingency
 
         def counting(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(cache_module, "minimum_contingency_from_lineage",
-                            counting)
+        monkeypatch.setattr(CodedLineage, "minimum_contingency", counting)
         t = Tuple("R", (1,))
         cache = LineageCache()
-        assert cache.minimum_contingency(PositiveDNF([{t}]), t) == frozenset()
-        assert cache.minimum_contingency(PositiveDNF([{t}]), t) == frozenset()
+        # Equal formulas share an entry, whichever coded lineage carries them.
+        assert cache.minimum_contingency(
+            CodedLineage(PositiveDNF([{t}])), t) == frozenset()
+        assert cache.minimum_contingency(
+            CodedLineage(PositiveDNF([{t}])), t) == frozenset()
         assert len(calls) == 1 and (cache.hits, cache.misses) == (1, 1)
 
     def test_failed_compute_is_not_a_miss(self, monkeypatch):
@@ -215,10 +251,9 @@ class TestLineageCache:
             raise RuntimeError("lineage solver exploded")
 
         t = Tuple("R", (1,))
-        phi = PositiveDNF([{t}])
+        phi = CodedLineage(PositiveDNF([{t}]))
         cache = LineageCache()
-        monkeypatch.setattr(cache_module, "minimum_contingency_from_lineage",
-                            boom)
+        monkeypatch.setattr(CodedLineage, "minimum_contingency", boom)
         with pytest.raises(RuntimeError):
             cache.minimum_contingency(phi, t)
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
@@ -229,7 +264,7 @@ class TestLineageCache:
 
     def test_minimum_contingency_counterfactual(self):
         t = Tuple("R", (1,))
-        phi = PositiveDNF([{t}])
+        phi = CodedLineage(PositiveDNF([{t}]))
         cache = LineageCache()
         assert cache.minimum_contingency(phi, t) == frozenset()
         assert cache.minimum_contingency(phi, Tuple("R", (2,))) is None

@@ -11,6 +11,7 @@ across both live engines.
 import pytest
 
 from repro.core import ExplanationSession
+from repro.core.responsibility import CodedLineage
 from repro.engine import BatchExplainer, LineageCache, WhyNoBatchExplainer
 from repro.lineage.boolean_expr import PositiveDNF
 from repro.relational import Database, DatabaseDelta, parse_query
@@ -144,7 +145,7 @@ class TestExogenousDeleteRegression:
     def test_cache_entries_mentioning_exogenous_deletes_are_dropped(self):
         cache = LineageCache()
         r, s = Tuple("R", ("a", "b")), Tuple("S", ("b",))
-        phi_n = PositiveDNF([{r, s}])
+        phi_n = CodedLineage(PositiveDNF([{r, s}]))
         assert cache.minimum_contingency(phi_n, r) == frozenset()
         assert len(cache) == 1
         # The deleted tuple appears in the lineage key, not as the inspected
@@ -158,11 +159,12 @@ class TestLineageCacheInvalidation:
     def test_unrelated_entries_survive(self):
         cache = LineageCache()
         t1, t2 = Tuple("R", (1,)), Tuple("R", (2,))
-        cache.minimum_contingency(PositiveDNF([{t1}]), t1)
-        cache.minimum_contingency(PositiveDNF([{t2}]), t2)
+        cache.minimum_contingency(CodedLineage(PositiveDNF([{t1}])), t1)
+        cache.minimum_contingency(CodedLineage(PositiveDNF([{t2}])), t2)
         assert cache.invalidate_tuples([t1]) == 1
         assert len(cache) == 1
-        assert cache.minimum_contingency(PositiveDNF([{t2}]), t2) == frozenset()
+        assert cache.minimum_contingency(
+            CodedLineage(PositiveDNF([{t2}])), t2) == frozenset()
         assert cache.hits == 1  # the surviving entry still hits
 
     def test_inspected_tuple_outside_the_lineage_is_indexed(self):
@@ -170,7 +172,8 @@ class TestLineageCacheInvalidation:
         # invalidating that tuple must still drop it.
         cache = LineageCache()
         t1, t2 = Tuple("R", (1,)), Tuple("R", (2,))
-        assert cache.minimum_contingency(PositiveDNF([{t1}]), t2) is None
+        assert cache.minimum_contingency(
+            CodedLineage(PositiveDNF([{t1}])), t2) is None
         assert cache.invalidate_tuples([t2]) == 1
         assert len(cache) == 0 and cache._tuple_keys == {}
 

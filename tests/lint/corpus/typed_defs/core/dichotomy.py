@@ -1,7 +1,8 @@
 """Out of scope: ``core/dichotomy.py`` is not in the strict tier.
 
-Within ``core/`` the ``typed-defs`` scope is file-granular (only the flow
-engine), so unannotated defs here produce no findings.
+Within ``core/`` the ``typed-defs`` scope is file-granular (only the
+responsibility engines and the hitting-set solver), so unannotated defs
+here produce no findings.
 """
 
 

@@ -24,7 +24,9 @@ def test_strict_tier_is_mypy_clean():
          "-p", "repro.engine", "-m", "repro.relational.session",
          "-m", "repro.relational.evaluation",
          "-m", "repro.relational.columnar",
-         "-m", "repro.core.flow_responsibility"],
+         "-m", "repro.core.flow_responsibility",
+         "-m", "repro.core.responsibility",
+         "-m", "repro.core.hitting_set"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

@@ -37,6 +37,18 @@ class TestOneArityPerRelation:
         assert db.arity_of("R") == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_relation_emptied_by_a_delta_is_refilled_at_another_arity(
+            self, backend):
+        query = parse_query("q(x) :- R(x), S(x)")
+        explainer = BatchExplainer(query, r_ab_s_a(), backend=backend)
+        assert explainer.answers() == []
+        explainer.refresh(DatabaseDelta(deletes=[Tuple("R", ("a", "b"))]))
+        explainer.refresh(DatabaseDelta(inserts=[Tuple("R", ("a",))]))
+        assert explainer.answers() == [("a",)]
+        assert [c.tuple for c in explainer.explain(("a",)).ranked()] == [
+            Tuple("R", ("a",)), Tuple("S", ("a",))]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_delta_against_existing_tuples_is_rejected(self, backend):
         db = r_ab_s_a()
         session = open_session(db, backend=backend)

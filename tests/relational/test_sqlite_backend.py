@@ -75,8 +75,13 @@ class TestLoading:
         backend = SQLiteDatabase(example22, extra_relations={"T": 3})
         assert "T" in backend.relations()
         backend.ensure_relation("T", 3)  # idempotent
-        with pytest.raises(BackendError):
-            backend.ensure_relation("T", 2)
+        # An empty relation takes a new arity; one with rows keeps its own.
+        backend.ensure_relation("T", 2)
+        assert backend.arity_of("T") == 2
+        backend.execute_sql("SELECT c0, c1 FROM T__endo")
+        with pytest.raises(BackendError, match="arity 2"):
+            backend.ensure_relation("R", 1)
+        assert backend.arity_of("R") == 2
 
     def test_mixed_arity_rejected(self):
         # Rejected when added, on either backend (one arity per relation),
