@@ -11,9 +11,10 @@ two-table workload with dozens of answers and asserts that
 * the batch path is at least 3× faster than the per-answer loop.
 
 Each side gets one untimed warm-up run and is then timed best-of-``REPEATS``,
-so neither pays the process's first-call costs inside its measurement; every
-batch run builds a fresh :class:`BatchExplainer`, so memo hits from an
-earlier run never count.
+so neither pays the process's first-call costs inside its measurement.  The
+timed runs alternate (batch, per-answer, batch, ...), so a slow phase of a
+noisy host slows both sides rather than one.  Every batch run builds a fresh
+:class:`BatchExplainer`, so memo hits from an earlier run never count.
 
 Run with ``pytest benchmarks/bench_batch_explain.py -s`` to see the table.
 """
@@ -35,15 +36,17 @@ MIN_SPEEDUP = 3.0
 REPEATS = 3
 
 
-def best_of(run, repeats: int = REPEATS):
-    """``(result, seconds)``: one untimed warm call, then the fastest run."""
-    result = run()
-    best = float("inf")
+def best_of_alternating(runs, repeats: int = REPEATS):
+    """``(results, seconds)`` per run: one untimed warm call each, then
+    ``repeats`` rounds that time every run once, in turn; the fastest wins."""
+    results = [run() for run in runs]
+    best = [float("inf")] * len(runs)
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return result, best
+        for i, run in enumerate(runs):
+            start = time.perf_counter()
+            results[i] = run()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return results, best
 
 
 def legacy_explain(query, database, answer, method="auto"):
@@ -65,13 +68,13 @@ def workload():
 
 
 def test_batch_matches_and_beats_per_answer_loop(workload, table_printer):
-    batch, batch_seconds = best_of(
-        lambda: BatchExplainer(QUERY, workload).explain_all())
-    assert len(batch) >= MIN_ANSWERS, "workload too small to be meaningful"
-
-    legacy, legacy_seconds = best_of(
+    answers = BatchExplainer(QUERY, workload).answers()
+    (batch, legacy), (batch_seconds, legacy_seconds) = best_of_alternating([
+        lambda: BatchExplainer(QUERY, workload).explain_all(),
         lambda: {answer: legacy_explain(QUERY, workload, answer)
-                 for answer in batch})
+                 for answer in answers},
+    ])
+    assert len(batch) >= MIN_ANSWERS, "workload too small to be meaningful"
 
     # Identical responsibilities, answer by answer and tuple by tuple.
     for answer, explanation in batch.items():

@@ -121,7 +121,7 @@ def legacy_refresh(explainer, delta):
     delta/inverse pair restores the starting state.
     """
     changed = explainer.session.apply_delta(delta)
-    explainer._exogenous = set(explainer.database.exogenous_tuples())
+    explainer._exogenous_set = set(explainer.database.exogenous_tuples())
     cache = explainer.cache
     doomed = [key for key in list(cache._entries)
               if _key_mentions(key, changed)]

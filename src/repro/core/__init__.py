@@ -63,7 +63,6 @@ from .hypergraph import DualHypergraph, find_linear_order, is_linear, linear_ord
 from .responsibility import (
     ResponsibilityResult,
     exact_responsibility,
-    minimum_contingency_from_lineage,
     responsibilities,
     responsibility,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "is_weakly_linear",
     "linear_order",
     "matches_canonical_hard_query",
-    "minimum_contingency_from_lineage",
     "minimum_hitting_set",
     "minimum_hitting_set_size",
     "responsibilities",

@@ -463,8 +463,8 @@ def flow_responsibility(query: ConjunctiveQuery, database: Database,
     """Compute the Why-So responsibility of ``t`` with Algorithm 1.
 
     Raises :class:`NotLinearError` when the query is not weakly linear (or no
-    weakening exists that keeps the relation of ``t`` endogenous); callers
-    should fall back to :func:`repro.core.responsibility.exact_responsibility`.
+    weakening exists that keeps the relation of ``t`` endogenous); the
+    fallback to the exact engine is ``BatchExplainer._responsibility``'s.
     Use :class:`FlowEngine` directly to amortise the valuation and layer
     construction over many tuples of the same query.
     """

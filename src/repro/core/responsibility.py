@@ -1,17 +1,17 @@
-"""Responsibility computation: exact algorithm and complexity-aware dispatcher.
+"""Responsibility computation: the exact engine and the per-call API.
 
-Two engines are provided.
-
-* :func:`exact_responsibility` works for *every* conjunctive query (self-joins,
-  mixed partitions, hard queries).  It reduces the minimum-contingency problem
-  to a constrained minimum hitting set over the non-redundant n-lineage and
-  solves it exactly with branch and bound.  This matches the paper's
-  observation that the general problem is NP-hard — the procedure is
-  exponential in the worst case, but it is exact and much faster than the
-  purely definitional brute force.
-* :func:`responsibility` dispatches: Why-No problems always use the PTIME
-  procedure of Theorem 4.17; Why-So problems use Algorithm 1 (max-flow) when
-  the query is weakly linear, and fall back to the exact engine otherwise.
+* :class:`CodedLineage` is the exact engine.  It works for *every*
+  conjunctive query (self-joins, mixed partitions, hard queries): it reduces
+  the minimum-contingency problem to a constrained minimum hitting set over
+  the non-redundant n-lineage and solves it exactly with branch and bound.
+  This matches the paper's observation that the general problem is NP-hard —
+  the procedure is exponential in the worst case, but it is exact and much
+  faster than the purely definitional brute force.
+* :func:`responsibility` asks one tuple's question per call.  Why-No problems
+  use the PTIME procedure of Theorem 4.17; Why-So problems run on
+  :class:`~repro.engine.batch.BatchExplainer`'s dispatch, the one place that
+  picks Algorithm 1 (max-flow) when the query is weakly linear and the exact
+  engine otherwise.  :func:`exact_responsibility` is its ``method="exact"``.
 
 **Reduction used by the exact engine.**  Let ``M`` be the set of minimal
 conjuncts of the n-lineage ``Φⁿ``.  A set ``Γ ⊆ Dn \\ {t}`` is a contingency
@@ -36,14 +36,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
-from ..exceptions import CausalityError, NotLinearError
+from ..exceptions import CausalityError
 from ..lineage.boolean_expr import PositiveDNF
 from ..lineage.provenance import n_lineage
 from ..relational.database import Database
 from ..relational.query import ConjunctiveQuery
 from ..relational.tuples import Tuple
-from .definitions import CausalityMode, Cause, responsibility_value
-from .flow_responsibility import flow_responsibility
+from .definitions import CausalityMode, responsibility_value
 from .hitting_set import minimum_hitting_set
 from .whyno import whyno_minimum_contingency
 
@@ -126,79 +125,49 @@ class CodedLineage:
         return frozenset({self._variables[i] for i in best})
 
 
-def minimum_contingency_from_lineage(phi_n: PositiveDNF, tuple_: Any
-                                     ) -> Optional[FrozenSet[Any]]:
-    """Minimum Why-So contingency of ``t`` given the n-lineage.
-
-    Returns ``None`` when ``t`` is not an actual cause.  Simplifies and codes
-    ``phi_n`` on every call; the batch engine codes each answer's lineage
-    once (:class:`CodedLineage`) and asks it per inspected tuple.
-    """
-    return CodedLineage(phi_n.remove_redundant()).minimum_contingency(tuple_)
-
-
 def exact_responsibility(query: ConjunctiveQuery, database: Database,
                          tuple_: Tuple,
                          mode: CausalityMode = CausalityMode.WHY_SO
                          ) -> ResponsibilityResult:
-    """Exact responsibility for any conjunctive query (exponential worst case)."""
-    mode = CausalityMode.coerce(mode)
-    if not query.is_boolean:
-        raise CausalityError(
-            "exact_responsibility expects a Boolean query; bind the answer first"
-        )
-    if not database.is_endogenous(tuple_):
-        return ResponsibilityResult(tuple_, responsibility_value(None), None, "exact")
-    if mode is CausalityMode.WHY_NO:
-        gamma = whyno_minimum_contingency(query, database, tuple_)
-        rho = responsibility_value(None if gamma is None else len(gamma))
-        return ResponsibilityResult(tuple_, rho, gamma, "why-no")
-    phi_n = n_lineage(query, database, simplify=True)
-    gamma = minimum_contingency_from_lineage(phi_n, tuple_)
-    rho = responsibility_value(None if gamma is None else len(gamma))
-    return ResponsibilityResult(tuple_, rho, gamma, "exact")
+    """Exact responsibility for any conjunctive query: ``method="exact"``."""
+    return responsibility(query, database, tuple_, mode=mode, method="exact")
 
 
-# --------------------------------------------------------------------------- #
-# dispatcher
-# --------------------------------------------------------------------------- #
 def responsibility(query: ConjunctiveQuery, database: Database, tuple_: Tuple,
                    mode: CausalityMode = CausalityMode.WHY_SO,
                    method: str = "auto") -> ResponsibilityResult:
-    """Compute ``ρ_t``, picking the right algorithm for the query.
+    """Compute ``ρ_t`` of one tuple for a Boolean query.
+
+    Why-No always uses the PTIME bounded-contingency procedure.  Why-So asks
+    a fresh memory :class:`~repro.engine.batch.BatchExplainer`, whose
+    dispatch the result's ``method`` names.
 
     Parameters
     ----------
     method:
-        ``"auto"`` (default): Why-No → PTIME bounded-contingency procedure;
-        Why-So → Algorithm 1 when the query is weakly linear and self-join
-        free, exact hitting-set otherwise.
-        ``"flow"``: force Algorithm 1 (raises :class:`NotLinearError` when not
-        applicable).
+        ``"auto"`` (default): Algorithm 1 when the query is weakly linear
+        and self-join free, the exact hitting-set engine otherwise.
+        ``"flow"``: force Algorithm 1 (raises :class:`NotLinearError` when
+        not applicable).
         ``"exact"``: force the exact engine.
     """
     mode = CausalityMode.coerce(mode)
     if method not in ("auto", "flow", "exact"):
         raise CausalityError(f"unknown method {method!r}")
-
+    if not query.is_boolean:
+        raise CausalityError(
+            "responsibility expects a Boolean query; bind the answer first")
     if mode is CausalityMode.WHY_NO:
-        return exact_responsibility(query, database, tuple_, mode)
+        gamma = whyno_minimum_contingency(query, database, tuple_)
+        rho = responsibility_value(None if gamma is None else len(gamma))
+        return ResponsibilityResult(tuple_, rho, gamma, "why-no")
+    from ..engine.batch import BatchExplainer  # local: engine builds on core
 
-    if method == "exact":
-        return exact_responsibility(query, database, tuple_, mode)
-    if method == "flow":
-        result = flow_responsibility(query, database, tuple_)
-        return ResponsibilityResult(tuple_, result.responsibility,
-                                    result.min_contingency, "flow")
-    # auto
-    if not query.has_self_joins():
-        try:
-            result = flow_responsibility(query, database, tuple_)
-            return ResponsibilityResult(tuple_, result.responsibility,
-                                        result.min_contingency, "flow")
-        except NotLinearError:
-            pass
-    return exact_responsibility(query, database, tuple_, mode)
+    explainer = BatchExplainer(query, database, method=method)
+    try:
+        return explainer.responsibility(tuple_)
+    finally:
+        explainer.close()
 
 
 def responsibilities(query: ConjunctiveQuery, database: Database,

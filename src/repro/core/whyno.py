@@ -15,17 +15,18 @@ does not yet make the query true (no minimal conjunct is a subset of
 valid contingency, and the minimum over the minimal conjuncts containing ``t``
 is the minimum contingency.
 
-Everything here is a pure function of the simplified n-lineage, so the
-batched engine (:class:`repro.engine.whyno_batch.WhyNoBatchExplainer`) reads
-its per-non-answer causes from one shared valuation pass through the same
-:func:`whyno_causes_from_n_lineage` helper — batched and per-non-answer
-results are identical by construction.
+Everything here reads the simplified n-lineage through one per-tuple
+helper, :func:`whyno_contingency_from_n_lineage`, and the batched engine
+(:class:`repro.engine.whyno_batch.WhyNoBatchExplainer`) reads its
+per-non-answer causes from one shared valuation pass through the same
+:func:`whyno_causes_from_n_lineage` — batched and per-call results are
+identical by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List, Optional
 
 from ..exceptions import CausalityError
 from ..lineage.boolean_expr import PositiveDNF
@@ -36,14 +37,20 @@ from ..relational.tuples import Tuple
 from .definitions import CausalityMode, Cause, responsibility_value
 
 
-def _best_witness(witnesses: Sequence[FrozenSet[Tuple]]) -> FrozenSet[Tuple]:
-    """The canonical minimum witness: smallest, ties broken by sorted repr.
+def whyno_contingency_from_n_lineage(phi_n: PositiveDNF, tuple_: Tuple
+                                     ) -> Optional[FrozenSet[Tuple]]:
+    """Minimum Why-No contingency of ``tuple_`` in a simplified n-lineage.
 
-    Every Why-No entry point picks contingencies through this single key, so
-    tied witnesses resolve the same way everywhere (the ranking itself never
-    depends on the tiebreak — only the reported contingency set does).
+    The smallest conjunct holding ``tuple_``, minus ``tuple_``; ties go to
+    the smallest sorted ``repr``s.  ``None`` when no conjunct holds
+    ``tuple_``, as in a trivially true ``phi_n`` (simplified, the empty
+    conjunct alone).
     """
-    return min(witnesses, key=lambda c: (len(c), sorted(map(repr, c))))
+    witnesses = [c for c in phi_n.conjuncts if tuple_ in c]
+    if not witnesses:
+        return None
+    best = min(witnesses, key=lambda c: (len(c), sorted(map(repr, c))))
+    return best - {tuple_}
 
 
 def whyno_minimum_contingency(query: ConjunctiveQuery, database: Database,
@@ -66,18 +73,8 @@ def whyno_minimum_contingency(query: ConjunctiveQuery, database: Database,
         raise CausalityError(
             "whyno_minimum_contingency expects a Boolean query; bind the non-answer first"
         )
-    if not database.is_endogenous(tuple_):
-        return None
-    phi_n = n_lineage(query, database, simplify=True)
-    if phi_n.is_trivially_true():
-        # The query is already true on the exogenous database alone: the given
-        # "non-answer" is actually an answer, so there are no Why-No causes.
-        return None
-    witnesses = [c for c in phi_n.conjuncts if tuple_ in c]
-    if not witnesses:
-        return None
-    best = _best_witness(witnesses)
-    return frozenset(best - {tuple_})
+    return whyno_contingency_from_n_lineage(
+        n_lineage(query, database, simplify=True), tuple_)
 
 
 def whyno_responsibility(query: ConjunctiveQuery, database: Database,
@@ -122,17 +119,13 @@ def whyno_causes_from_n_lineage(phi_n: PositiveDNF) -> List[Cause]:
     >>> [(c.tuple, str(c.responsibility)) for c in causes]
     [(S('b'), '1/2'), (T('b'), '1/2')]
     """
-    if phi_n.is_trivially_true():
-        return []
     causes: List[Cause] = []
     for tup in sorted(phi_n.variables()):
-        witnesses = [c for c in phi_n.conjuncts if tup in c]
-        if not witnesses:
-            continue
-        best = _best_witness(witnesses)
-        causes.append(Cause(tup, CausalityMode.WHY_NO,
-                            responsibility=responsibility_value(len(best) - 1),
-                            contingency=frozenset(best - {tup})))
+        gamma = whyno_contingency_from_n_lineage(phi_n, tup)
+        if gamma is not None:
+            causes.append(Cause(tup, CausalityMode.WHY_NO,
+                                responsibility=responsibility_value(len(gamma)),
+                                contingency=gamma))
     causes.sort(key=lambda c: (-(c.responsibility or 0), c.tuple))
     return causes
 

@@ -33,15 +33,15 @@ The valuation pass itself is pluggable (``backend="memory"`` /
 loaded instance, producing the same valuations — and therefore bit-identical
 explanations — without materialising the join in Python.
 
-Per-tuple responsibilities keep the complexity-aware dispatch of
-:func:`repro.core.responsibility.responsibility`: ``method="auto"`` runs
-Algorithm 1 (PTIME for weakly linear, self-join-free queries) through a
-shared :class:`~repro.core.flow_responsibility.FlowEngine` — one valuation
-pass and one layer construction per bound query instead of one per tuple —
-and falls back to the exact hitting-set solver over the shared n-lineage
-otherwise.  ``method="flow"`` / ``"exact"`` force one engine, like the
-single-answer dispatcher; Theorem 4.5 (pinned by the cross-engine property
-tests) guarantees the engines agree wherever both apply.
+Per-tuple responsibilities take the one complexity-aware dispatch, which
+:func:`repro.core.responsibility.responsibility` runs on too:
+``method="auto"`` runs Algorithm 1 (PTIME for weakly linear, self-join-free
+queries) through a shared :class:`~repro.core.flow_responsibility.FlowEngine`
+— one valuation pass and one layer construction per bound query instead of
+one per tuple — and falls back to the exact hitting-set solver over the
+shared n-lineage otherwise.  ``method="flow"`` / ``"exact"`` force one
+engine; Theorem 4.5 (pinned by the cross-engine property tests) guarantees
+the engines agree wherever both apply.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple as TypingTuple,
     cast,
 )
@@ -63,7 +64,7 @@ from typing import (
 from ..core.api import Explanation
 from ..core.definitions import CausalityMode, Cause, responsibility_value
 from ..core.flow_responsibility import FlowEngine, FlowResponsibilityResult
-from ..core.responsibility import CodedLineage
+from ..core.responsibility import CodedLineage, ResponsibilityResult
 from ..exceptions import CausalityError, FanOutWorkerError, NotLinearError
 from ..lineage.boolean_expr import PositiveDNF
 from ..relational.columnar import ConjunctGroup, ValuationBlock, \
@@ -134,8 +135,8 @@ class BatchExplainer:
     database:
         The instance with its endogenous/exogenous partition.
     method:
-        ``"auto"`` (default) dispatches like the single-answer API: Algorithm 1
-        (shared :class:`FlowEngine`) for weakly linear self-join-free queries,
+        ``"auto"`` (default) dispatches per tuple: Algorithm 1 (shared
+        :class:`FlowEngine`) for weakly linear self-join-free queries,
         exact hitting-set over the shared n-lineage otherwise.  ``"exact"``
         forces the hitting-set engine; ``"flow"`` forces Algorithm 1 (raising
         :class:`~repro.exceptions.NotLinearError` when not applicable).
@@ -182,9 +183,7 @@ class BatchExplainer:
         self.cache = LineageCache()
         self.session = session if session is not None \
             else open_session(database, backend=backend)
-        # Mutable on purpose: refresh patches membership per changed tuple
-        # instead of re-scanning the instance.
-        self._exogenous = set(database.exogenous_tuples())
+        self._exogenous_set: Optional[Set[Tuple]] = None
         # answer -> lineage conjuncts (or a still-columnar ValuationBlock,
         # materialised lazily); populated wholesale by the single open-query
         # pass, or per answer by bound-query evaluation.
@@ -209,6 +208,14 @@ class BatchExplainer:
     def _evaluator(self) -> Any:
         """The session's evaluator (refreshed by ``apply_delta``)."""
         return self.session.evaluator
+
+    @property
+    def _exogenous(self) -> Set[Tuple]:
+        """The exogenous tuples, scanned on first use (the flow engine never
+        needs them); refresh patches a built set per changed tuple."""
+        if self._exogenous_set is None:
+            self._exogenous_set = set(self.database.exogenous_tuples())
+        return self._exogenous_set
 
     # ------------------------------------------------------------------ #
     # shared evaluation
@@ -294,18 +301,47 @@ class BatchExplainer:
     def _responsibility(
             self, bound: ConjunctiveQuery,
             get_lineage: Callable[[], CodedLineage], tuple_: Tuple,
-    ) -> TypingTuple[Any, Optional[FrozenSet[Tuple]]]:
-        if self.method in ("auto", "flow"):
+    ) -> ResponsibilityResult:
+        """The one auto/flow/exact dispatch; ``get_lineage`` codes the
+        answer's lineage, called only when the exact engine needs it."""
+        if self.method != "exact":
             try:
                 result = self._flow_responsibility(bound, tuple_)
-                return result.responsibility, result.min_contingency
+                return ResponsibilityResult(tuple_, result.responsibility,
+                                            result.min_contingency, "flow")
             except NotLinearError:
                 if self.method == "flow":
                     raise
-                # auto: fall back to the exact engine, like the dispatcher.
+                # auto: fall back to the exact engine.
         gamma = self.cache.minimum_contingency(get_lineage(), tuple_)
-        rho = responsibility_value(None if gamma is None else len(gamma))
-        return rho, gamma
+        return ResponsibilityResult(
+            tuple_, responsibility_value(None if gamma is None else len(gamma)),
+            gamma, "exact")
+
+    def responsibility(self, tuple_: Tuple,
+                       answer: Optional[Sequence[Any]] = None
+                       ) -> ResponsibilityResult:
+        """Why-So responsibility of one tuple for one answer.
+
+        Runs :meth:`explain`'s dispatch; ``method`` names the engine that
+        ran.  A non-answer, or a tuple off its n-lineage (an exogenous one
+        too), gets ``ρ`` = 0.
+
+        Examples
+        --------
+        >>> from repro.relational import Database, Tuple, parse_query
+        >>> db = Database()
+        >>> _ = db.add_fact("R", "a2", "a1")
+        >>> _ = db.add_fact("S", "a1")
+        >>> explainer = BatchExplainer(parse_query("q(x) :- R(x, y), S(y)"), db)
+        >>> explainer.responsibility(Tuple("S", ("a1",)), ("a2",))
+        ResponsibilityResult(S('a1'), ρ=1, method=flow)
+        """
+        key = self._key(answer)
+        bound = self.query if self.query.is_boolean else self.query.bind(key)
+        return self._responsibility(
+            bound, lambda: CodedLineage(self._n_lineage(key).remove_redundant()),
+            tuple_)
 
     def explain(self, answer: Optional[Sequence[Any]] = None) -> Explanation:
         """The Why-So :class:`Explanation` of one answer.
@@ -353,13 +389,11 @@ class BatchExplainer:
 
     def _explain_uncached(self, key: Answer,
                           answer: Optional[Sequence[Any]]) -> Explanation:
-        conjuncts = self._conjuncts_for(key)
-        if not conjuncts:
+        if not self._conjuncts_for(key):
             raise CausalityError(
                 f"{answer!r} is not an answer on this database; use mode='why-no'"
             )
-        phi = PositiveDNF(conjuncts)
-        phi_n_raw = phi.set_true(self._exogenous)
+        phi_n_raw = self._n_lineage(key)
         candidates = sorted(
             t for t in phi_n_raw.variables() if self.database.is_endogenous(t)
         )
@@ -375,17 +409,13 @@ class BatchExplainer:
             return coded[0]
 
         bound = self.query if self.query.is_boolean else self.query.bind(key)
-        scored = []
-        for tuple_ in candidates:
-            rho, gamma = self._responsibility(bound, get_lineage, tuple_)
-            if rho > 0:
-                scored.append((rho, tuple_, gamma))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        causes = [
-            Cause(tuple_, CausalityMode.WHY_SO, responsibility=rho,
-                  contingency=gamma)
-            for rho, tuple_, gamma in scored
-        ]
+        results = [self._responsibility(bound, get_lineage, tuple_)
+                   for tuple_ in candidates]
+        results = [r for r in results if r.responsibility > 0]
+        results.sort(key=lambda r: (-r.responsibility, r.tuple))
+        causes = [Cause(r.tuple, CausalityMode.WHY_SO,
+                        responsibility=r.responsibility,
+                        contingency=r.min_contingency) for r in results]
         return Explanation(self.query, None if self.query.is_boolean else key,
                            CausalityMode.WHY_SO, causes)
 
@@ -567,11 +597,11 @@ class BatchExplainer:
             return RefreshReport(changed)
 
         # Patch the exogenous set per changed tuple (never a full rebuild).
-        self._exogenous.difference_update(changed)
-        for tup in changed:
-            if self.database.contains(tup) \
-                    and not self.database.is_endogenous(tup):
-                self._exogenous.add(tup)
+        exogenous = self._exogenous_set
+        if exogenous is not None:
+            exogenous.difference_update(changed)
+            exogenous.update(t for t in changed
+                             if self.database.is_exogenous(t))
         # Invalidate only now that ``changed`` is known non-empty; the
         # cache probes its per-tuple key index, not every entry.
         self.cache.invalidate_tuples(changed)
@@ -656,6 +686,10 @@ class BatchExplainer:
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
+    def _n_lineage(self, key: Answer) -> PositiveDNF:
+        """The unsimplified n-lineage of one answer key (empty if none)."""
+        return PositiveDNF(self._conjuncts_for(key)).set_true(self._exogenous)
+
     def n_lineage_of(self, answer: Optional[Sequence[Any]] = None,
                      simplify: bool = True) -> PositiveDNF:
         """The (shared) n-lineage of one answer, as the engine sees it.
@@ -665,8 +699,7 @@ class BatchExplainer:
         """
         key = self._key(answer)
         self._require_target(key)
-        phi = PositiveDNF(self._conjuncts_for(key))
-        phi_n = phi.set_true(self._exogenous)
+        phi_n = self._n_lineage(key)
         return phi_n.remove_redundant() if simplify else phi_n
 
     def close(self) -> None:
@@ -695,7 +728,7 @@ class _WhySoFanOutState:
 
     def __init__(self, query: ConjunctiveQuery, database: Database,
                  method: str, conjuncts: Dict[Answer, ConjunctGroup],
-                 exogenous: FrozenSet[Tuple]) -> None:
+                 exogenous: Set[Tuple]) -> None:
         self.query = query
         self.database = database
         self.method = method
@@ -715,7 +748,7 @@ def _whyso_worker_setup(state: _WhySoFanOutState) -> BatchExplainer:
                                method=state.method)
     explainer._conjuncts = state.conjuncts
     explainer._full_pass_done = True
-    explainer._exogenous = state.exogenous
+    explainer._exogenous_set = state.exogenous
     return explainer
 
 

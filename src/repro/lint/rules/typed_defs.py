@@ -2,14 +2,14 @@
 
 ``mypy --strict``-style checking (``disallow_untyped_defs``) for
 ``engine/``, ``relational/session.py``, ``relational/evaluation.py``,
-``relational/columnar.py`` and the responsibility engines
+``relational/columnar.py``, the responsibility engines
 (``core/flow_responsibility.py``, ``core/responsibility.py``,
-``core/hitting_set.py``) runs in CI, but mypy is not part of the runtime
-container.  This rule enforces the *presence* half of that contract
-locally — every ``def`` in the strict tier annotates all of its parameters
-(``self``/``cls`` excepted) and its return type — so an unannotated
-signature fails ``repro lint`` on the developer's machine, not first in
-CI.
+``core/hitting_set.py``) and the Why-No procedure (``core/whyno.py``)
+runs in CI, but mypy is not part of the runtime container.  This rule
+enforces the *presence* half of that contract locally — every ``def`` in
+the strict tier annotates all of its parameters (``self``/``cls``
+excepted) and its return type — so an unannotated signature fails
+``repro lint`` on the developer's machine, not first in CI.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ class TypedDefsRule(Rule):
     id = "typed-defs"
     summary = ("every def in engine/, the typed relational modules "
                "(session, evaluation, columnar) and the responsibility "
-               "engines (flow, exact, hitting set) annotates all "
+               "engines (flow, exact, hitting set, Why-No) annotates all "
                "parameters and the return type")
     scope = ("engine/", "relational/session.py",
              "relational/evaluation.py", "relational/columnar.py",
              "core/flow_responsibility.py", "core/responsibility.py",
-             "core/hitting_set.py")
+             "core/hitting_set.py", "core/whyno.py")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -9,14 +9,19 @@ from repro.core import (
     brute_force_responsibility,
     exact_responsibility,
     is_valid_contingency,
-    minimum_contingency_from_lineage,
     responsibilities,
     responsibility,
 )
+from repro.core.responsibility import CodedLineage
 from repro.exceptions import CausalityError
 from repro.lineage import PositiveDNF, build_whyno_instance, candidate_missing_tuples, n_lineage
 from repro.relational import Database, Tuple, database_from_dict, parse_query
 from repro.workloads import star_instance, star_query
+
+
+def minimum_contingency_from_lineage(phi, tuple_):
+    """Simplify, code and solve one formula, as the exact engine does."""
+    return CodedLineage(phi.remove_redundant()).minimum_contingency(tuple_)
 
 
 class TestMinimumContingencyFromLineage:
@@ -86,6 +91,22 @@ class TestExactEngine:
         bq = example22_query.bind(("a4",))
         assert exact_responsibility(bq, db, tuples[("S", "a3")]).responsibility == 0
 
+    def test_simplifies_the_lineage_once_per_call(self, monkeypatch):
+        db = database_from_dict({"R": [(1, 2), (2, 1)], "S": [(2, 3), (1, 3)],
+                                 "T": [(3, 1), (3, 2)]})
+        q = parse_query("q :- R(x, y), S(y, z), T(z, x)")
+        calls = []
+        original = PositiveDNF.remove_redundant
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PositiveDNF, "remove_redundant", counting)
+        result = exact_responsibility(q, db, Tuple("R", (1, 2)))
+        assert result.responsibility == Fraction(1, 2)
+        assert len(calls) == 1
+
 
 class TestDispatcher:
     def test_auto_uses_flow_for_linear_queries(self, example22_db, example22_query):
@@ -125,6 +146,10 @@ class TestDispatcher:
                                 mode=CausalityMode.WHY_NO)
         assert result.method == "why-no"
         assert result.responsibility == 1
+        real = exact_responsibility(q, combined, Tuple("R", ("a", "b")),
+                                    mode=CausalityMode.WHY_NO)
+        assert (real.responsibility, real.min_contingency, real.method) == \
+            (0, None, "why-no")
 
 
 class TestRankedResponsibilities:

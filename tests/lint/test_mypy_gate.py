@@ -26,7 +26,8 @@ def test_strict_tier_is_mypy_clean():
          "-m", "repro.relational.columnar",
          "-m", "repro.core.flow_responsibility",
          "-m", "repro.core.responsibility",
-         "-m", "repro.core.hitting_set"],
+         "-m", "repro.core.hitting_set",
+         "-m", "repro.core.whyno"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

@@ -285,10 +285,18 @@ class TestWhyNoBatchMatchesPerNonAnswer:
             combined = build_whyno_instance(
                 db, candidate_missing_tuples(bound, db))
             legacy = whyno_causes_with_responsibility(bound, combined)
+            per_call = [exact_responsibility(bound, combined, t,
+                                             mode="why-no")
+                        for t in sorted(combined.endogenous_tuples())]
+            assert all(r.method == "why-no" for r in per_call)
+            per_call = sorted((r for r in per_call if r.responsibility > 0),
+                              key=lambda r: (-r.responsibility, r.tuple))
             assert [(c.tuple, c.responsibility, c.contingency)
                     for c in batch[na].causes] == \
                 [(c.tuple, c.responsibility, c.contingency)
-                 for c in legacy], (seed, na)
+                 for c in legacy] == \
+                [(r.tuple, r.responsibility, r.min_contingency)
+                 for r in per_call], (seed, na)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(6))

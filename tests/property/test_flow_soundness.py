@@ -4,7 +4,11 @@ On every answer, the dispatching engine (Algorithm 1 where a protected
 weakening exists, the exact hitting-set engine otherwise) must report the
 exact engine's responsibilities, and every contingency it reports must be a
 minimum one: ``|Γ| = 1/ρ − 1`` and ``Γ`` passes
-:func:`~repro.core.is_valid_contingency` on the bound query.
+:func:`~repro.core.is_valid_contingency` on the bound query.  The per-call
+:func:`~repro.core.responsibility` must report each batch cause's ρ and Γ
+(ρ = 0 for every other tuple) under ``auto`` and ``exact``, and its
+``method`` must name the engine that ran: ``flow`` exactly where
+:func:`~repro.core.flow_responsibility` does not refuse.
 
 The instances draw each tuple's status on its own (so a relation mixes
 endogenous and exogenous tuples), and each atom may carry a ``^n`` / ``^x``
@@ -22,8 +26,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import is_valid_contingency
+from repro.core import flow_responsibility, is_valid_contingency, \
+    responsibility
 from repro.engine import BatchExplainer
+from repro.exceptions import NotLinearError
 from repro.relational import Database, parse_query
 
 # (relation, arity) per atom, and the query template over them.
@@ -59,6 +65,26 @@ def annotated_instances(draw, shape):
     return query, db
 
 
+def flow_refuses(bound, db, t):
+    try:
+        flow_responsibility(bound, db, t)
+    except NotLinearError:
+        return True
+    return False
+
+
+def assert_per_call_matches(bound, db, method, causes):
+    """The per-call API reports the batch causes' ρ and Γ, and its engine."""
+    for t in sorted(db.all_tuples()):
+        result = responsibility(bound, db, t, method=method)
+        cause = causes.get(t)
+        assert (result.responsibility, result.min_contingency) == (
+            (0, None) if cause is None
+            else (cause.responsibility, cause.contingency)), (method, t)
+        assert result.method == ("exact" if method == "exact"
+                                 or flow_refuses(bound, db, t) else "flow")
+
+
 def assert_auto_is_sound(query, db):
     auto = BatchExplainer(query, db)
     exact = BatchExplainer(query, db, method="exact")
@@ -66,13 +92,15 @@ def assert_auto_is_sound(query, db):
     for answer in auto.answers():
         bound = query if query.is_boolean else query.bind(answer)
         causes = {c.tuple: c for c in auto.explain(answer)}
-        expected = {c.tuple: c.responsibility
-                    for c in exact.explain(answer)}
-        assert {t: c.responsibility for t, c in causes.items()} == expected
+        exact_causes = {c.tuple: c for c in exact.explain(answer)}
+        assert {t: c.responsibility for t, c in causes.items()} == \
+            {t: c.responsibility for t, c in exact_causes.items()}
         for t, cause in causes.items():
             gamma = cause.contingency
             assert cause.responsibility == Fraction(1, 1 + len(gamma))
             assert is_valid_contingency(bound, db, t, gamma)
+        assert_per_call_matches(bound, db, "auto", causes)
+        assert_per_call_matches(bound, db, "exact", exact_causes)
 
 
 relaxed = settings(max_examples=25, deadline=None,
